@@ -40,13 +40,10 @@ class RegressionBasis:
 
     degree: int
     standardize: bool = True
-    kind: str = "polynomial"
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.kind != "polynomial":
-            raise ValueError(f"unsupported basis kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ class BackwardSolution:
     k_cum: Array
     k_jump_T: Array
     run: RunRecord
-    mark_weights: Array = None  # type: ignore[assignment]
+    mark_weights: Array
 
     def y0_mean(self) -> float:
         return float(np.mean(self.y[:, 0]))
@@ -255,28 +252,28 @@ def _check_bundle(spec: ProblemSpec, bundle: PathBundle) -> None:
         raise SolverError("bundle grid does not match the problem horizon")
 
 
-def solve_penalized(
+StepRule = Callable[[Callable[[Array], Array], Array, Array, float, int], tuple[Array, Array]]
+
+
+def _backward(
     spec: ProblemSpec,
     bundle: PathBundle,
     basis: RegressionBasis,
+    step: StepRule,
     n_penalty: float,
     frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
+    terminal_jump: Callable[[Array, Array, Array], Array] | None = None,
 ) -> BackwardSolution:
-    """One backward pass of the penalized scheme at level ``n_penalty``.
+    """The backward regression sweep shared by every scheme.
 
-    Per step i (backward): fit the continuation of y_{i+1} on X_i; read
-    jump responses off the fitted continuation at jump-shifted states;
-    regress y_{i+1} dB_i / dt_i for z_i; then solve the implicit scalar
-    equation y = c + f(t_i, X_i, y, z, u) dt + n dt (y - L_i)^- per path.
-    The driver sees the pass's own (z_i, u_i) unless ``frozen_zu``
-    supplies the fields of a previous iterate. The terminal row is exact:
-    y_N = terminal(X_N).
-
-    ``u_estimator`` selects how the jump responses are estimated:
-    "shifted" (default) evaluates the fitted continuation at jump-shifted
-    states; "compensated" regresses y_{i+1} times the compensated count
-    increment, a higher-variance route kept for cross-scheme checks.
+    Per step i (backward): fit the continuation c of y_{i+1} on X_i; read
+    jump responses off the fitted continuation at jump-shifted states (or
+    regress against compensated counts); regress y_{i+1} dB_i / dt_i for
+    z_i; then ``step(fy, c, L_i, dt, i)`` returns (y_i, dK_i), with fy(y)
+    the driver at the step's (z, u). ``terminal_jump(y, L, dK_last)``, when
+    given, returns the part of the last increment that is the predictable
+    jump of K at T. ``n_penalty`` is only recorded on the run.
     """
     if u_estimator not in ("shifted", "compensated"):
         raise ValueError(f"unknown u_estimator {u_estimator!r}")
@@ -335,13 +332,15 @@ def solve_penalized(
         def fy(yv: Array) -> Array:
             return spec.driver_values(t, xi, yv, zd, ud)
 
-        Li = L_nodes[:, i]
-        y[:, i] = _solve_implicit_step(fy, c, Li, dt, n_penalty, i)
-        k_inc[:, i] = n_penalty * dt * np.maximum(Li - y[:, i], 0.0)
+        y[:, i], k_inc[:, i] = step(fy, c, L_nodes[:, i], dt, i)
         if i == 0:
             targets = y[:, 1] + dt * fy(y[:, 0]) + k_inc[:, 0]
-            y0_stderr = float(np.std(targets, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+            y0_stderr = _norms._mc(targets)[1]
 
+    k_jump_T = np.zeros(n_paths)
+    if terminal_jump is not None:
+        k_jump_T = terminal_jump(y, L_nodes, k_inc[:, -1])
+        k_inc[:, -1] -= k_jump_T
     k_cum = np.zeros((n_paths, N + 1))
     k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
     run = RunRecord(
@@ -354,9 +353,38 @@ def solve_penalized(
     )
     return BackwardSolution(
         y=y, z=z, u=u, gamma=gamma,
-        k_cum=k_cum, k_jump_T=np.zeros(n_paths),
+        k_cum=k_cum, k_jump_T=k_jump_T,
         run=run, mark_weights=lam,
     )
+
+
+def solve_penalized(
+    spec: ProblemSpec,
+    bundle: PathBundle,
+    basis: RegressionBasis,
+    n_penalty: float,
+    frozen_zu: tuple[Array, Array] | None = None,
+    u_estimator: str = "shifted",
+) -> BackwardSolution:
+    """One backward pass of the penalized scheme at level ``n_penalty``.
+
+    The shared sweep (``_backward``) with the penalty step: solve the
+    implicit scalar equation y = c + f(t_i, X_i, y, z, u) dt + n dt (y - L_i)^-
+    per path. The driver sees the pass's own (z_i, u_i) unless
+    ``frozen_zu`` supplies the fields of a previous iterate. The terminal
+    row is exact: y_N = terminal(X_N).
+
+    ``u_estimator`` selects how the jump responses are estimated:
+    "shifted" (default) evaluates the fitted continuation at jump-shifted
+    states; "compensated" regresses y_{i+1} times the compensated count
+    increment, a higher-variance route kept for cross-scheme checks.
+    """
+
+    def penalty_step(fy, c, L_i, dt, i):
+        y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i)
+        return y_i, n_penalty * dt * np.maximum(L_i - y_i, 0.0)
+
+    return _backward(spec, bundle, basis, penalty_step, n_penalty, frozen_zu, u_estimator)
 
 
 def picard_solve(

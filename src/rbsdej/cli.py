@@ -83,6 +83,37 @@ class ExperimentConfig:
     mode: str
     threads: int = 1
 
+    def __post_init__(self) -> None:
+        """Range checks; they hold for INI values and command-line overrides alike."""
+        if self.problem not in PROBLEMS:
+            raise ConfigError("problem.name", f"unknown problem {self.problem!r}")
+        if not (self.horizon > 0.0):
+            raise ConfigError("grid.horizon", "must be positive")
+        if self.n_steps < 1:
+            raise ConfigError("grid.steps", "must be at least 1")
+        if self.n_paths < 1:
+            raise ConfigError("mc.paths", "must be at least 1")
+        if not (0 <= self.seed < 2**64):
+            raise ConfigError("mc.seed", "must fit in an unsigned 64-bit integer")
+        if self.degree < 0:
+            raise ConfigError("basis.degree", "must be nonnegative")
+        if not (1.0 < self.p < 2.0):
+            raise ConfigError("exponents.p", f"must lie strictly inside (1, 2), got {self.p}")
+        if self.beta is not None and not (self.beta >= 0.0):
+            raise ConfigError("exponents.beta", "must be nonnegative (or 'auto')")
+        if not (self.eps > 0.0):
+            raise ConfigError("exponents.eps", "must be positive")
+        if not (self.n0 > 0.0):
+            raise ConfigError("schedule.n0", "must be positive")
+        if self.levels < 1:
+            raise ConfigError("schedule.levels", "must be at least 1")
+        if not (self.stop_tol > 0.0):
+            raise ConfigError("schedule.stop_tol", "must be positive")
+        if self.mode not in MODES:
+            raise ConfigError("run.mode", f"must be one of {MODES}")
+        if self.threads < 1:
+            raise ConfigError("run.threads", "must be at least 1")
+
     def schedule(self) -> PenalizationSchedule:
         return PenalizationSchedule.geometric(self.n0, self.levels, self.stop_tol)
 
@@ -95,15 +126,20 @@ class ExperimentConfig:
 
 
 def _get(cfg: configparser.ConfigParser, section: str, key: str, cast, default=None):
-    if not cfg.has_option(section, key):
-        if default is not None:
-            return default
+    if cfg.has_option(section, key):
+        raw = cfg.get(section, key)
+    elif default is not None:
+        raw = default
+    else:
         raise ConfigError(f"{section}.{key}", "missing required key")
-    raw = cfg.get(section, key)
     try:
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}: {exc}") from exc
+
+
+def _beta_value(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -116,68 +152,27 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         if not cfg.has_section(section):
             raise ConfigError(section, "missing section")
 
-    name = _get(cfg, "problem", "name", str)
-    if name not in PROBLEMS:
-        raise ConfigError("problem.name", f"unknown problem {name!r}")
     params = tuple(
-        (k, float(cfg.get("problem", k)))
+        (k, _get(cfg, "problem", k, float))
         for k in sorted(cfg.options("problem"))
         if k != "name"
     )
-
-    horizon = _get(cfg, "grid", "horizon", float)
-    n_steps = _get(cfg, "grid", "steps", int)
-    if horizon <= 0.0:
-        raise ConfigError("grid.horizon", "must be positive")
-    if n_steps < 1:
-        raise ConfigError("grid.steps", "must be at least 1")
-
-    n_paths = _get(cfg, "mc", "paths", int)
-    seed = _get(cfg, "mc", "seed", int)
-    if n_paths < 1:
-        raise ConfigError("mc.paths", "must be at least 1")
-    if not (0 <= seed < 2**64):
-        raise ConfigError("mc.seed", "must fit in an unsigned 64-bit integer")
-
-    degree = _get(cfg, "basis", "degree", int)
-    if degree < 0:
-        raise ConfigError("basis.degree", "must be nonnegative")
-
-    p = _get(cfg, "exponents", "p", float)
-    if not (1.0 < p < 2.0):
-        raise ConfigError("exponents.p", f"must lie strictly inside (1, 2), got {p}")
-    beta_raw = cfg.get("exponents", "beta", fallback="auto").strip()
-    beta = None if beta_raw == "auto" else float(beta_raw)
-    if beta is not None and beta < 0.0:
-        raise ConfigError("exponents.beta", "must be nonnegative (or 'auto')")
-    eps = _get(cfg, "exponents", "eps", float)
-    if eps <= 0.0:
-        raise ConfigError("exponents.eps", "must be positive")
-
-    n0 = _get(cfg, "schedule", "n0", float)
-    levels = _get(cfg, "schedule", "levels", int)
-    stop_tol = _get(cfg, "schedule", "stop_tol", float)
-    if n0 <= 0.0:
-        raise ConfigError("schedule.n0", "must be positive")
-    if levels < 1:
-        raise ConfigError("schedule.levels", "must be at least 1")
-    if stop_tol <= 0.0:
-        raise ConfigError("schedule.stop_tol", "must be positive")
-
-    mode = _get(cfg, "run", "mode", str)
-    if mode not in MODES:
-        raise ConfigError("run.mode", f"must be one of {MODES}")
-    threads = _get(cfg, "run", "threads", int, default=1)
-    if threads < 1:
-        raise ConfigError("run.threads", "must be at least 1")
-
     return ExperimentConfig(
-        problem=name, problem_params=params,
-        horizon=horizon, n_steps=n_steps,
-        n_paths=n_paths, seed=seed, degree=degree,
-        p=p, beta=beta, eps=eps,
-        n0=n0, levels=levels, stop_tol=stop_tol,
-        mode=mode, threads=threads,
+        problem=_get(cfg, "problem", "name", str),
+        problem_params=params,
+        horizon=_get(cfg, "grid", "horizon", float),
+        n_steps=_get(cfg, "grid", "steps", int),
+        n_paths=_get(cfg, "mc", "paths", int),
+        seed=_get(cfg, "mc", "seed", int),
+        degree=_get(cfg, "basis", "degree", int),
+        p=_get(cfg, "exponents", "p", float),
+        beta=_get(cfg, "exponents", "beta", _beta_value, default="auto"),
+        eps=_get(cfg, "exponents", "eps", float),
+        n0=_get(cfg, "schedule", "n0", float),
+        levels=_get(cfg, "schedule", "levels", int),
+        stop_tol=_get(cfg, "schedule", "stop_tol", float),
+        mode=_get(cfg, "run", "mode", str),
+        threads=_get(cfg, "run", "threads", int, default="1"),
     )
 
 
@@ -309,17 +304,15 @@ def run(
     mode_override: str | None = None,
 ) -> int:
     """Execute one experiment; returns the process exit code."""
+    overrides = {"seed": seed, "threads": threads, "mode": mode_override}
     try:
-        config = parse_config(config_path)
+        config = replace(
+            parse_config(config_path),
+            **{k: v for k, v in overrides.items() if v is not None},
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if threads is not None:
-        config = replace(config, threads=threads)
-    if mode_override is not None:
-        config = replace(config, mode=mode_override)
 
     base = Path(out_dir) if out_dir is not None else Path(
         os.environ.get(OUT_DIR_ENV, "results")

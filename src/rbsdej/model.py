@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -116,6 +116,11 @@ class CoefficientSpec:
         }
 
 
+def aggregate_rate(r: Mapping[str, Array]) -> Array:
+    """a^2 = phi + eta^2 + delta^2 from evaluated rates (as `rates` returns)."""
+    return r["phi"] + r["eta"] ** 2 + r["delta"] ** 2
+
+
 def aggregate_coefficients(
     coeffs: CoefficientSpec, exponents: Exponents, t: float, state: Array
 ) -> tuple[Array, Array]:
@@ -124,8 +129,7 @@ def aggregate_coefficients(
     Raises AssumptionError as soon as a^2 drops below exponents.eps
     anywhere in the sampled batch.
     """
-    r = coeffs.rates(t, np.asarray(state, dtype=float))
-    a2 = r["phi"] + r["eta"] ** 2 + r["delta"] ** 2
+    a2 = aggregate_rate(coeffs.rates(t, np.asarray(state, dtype=float)))
     lo = float(np.min(a2)) if a2.size else float("inf")
     if a2.size and lo < exponents.eps:
         raise AssumptionError(
@@ -439,8 +443,7 @@ def validate_assumptions(
     # aggregate rate floor: a^2 >= eps everywhere sampled
     def a2_margin(i):
         t, x = float(t_s[i]), x_s[i : i + 1]
-        r = spec.coeffs.rates(t, x)
-        a2 = float(r["phi"][0] + r["eta"][0] ** 2 + r["delta"][0] ** 2)
+        a2 = float(aggregate_rate(spec.coeffs.rates(t, x))[0])
         return spec.exponents.eps - a2
 
     margins = run_rows(a2_margin)
@@ -520,20 +523,18 @@ class DriverNormalization:
 
     def map_back_solution(self, sol, grid):
         """Undo the transform on a BackwardSolution computed on ``grid``."""
-        from .backward import BackwardSolution  # local import avoids a cycle
-
         g = np.exp(-self.log_factor(grid.nodes))  # e^{-R(t_i)}
         k_inc = np.diff(sol.k_cum, axis=1) * g[:-1]
         k_cum = np.zeros_like(sol.k_cum)
         k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
-        return BackwardSolution(
+        return replace(
+            sol,
             y=sol.y * g,
             z=sol.z * g,
             u=sol.u * g[None, :, None],
             gamma=sol.gamma * g,
             k_cum=k_cum,
             k_jump_T=sol.k_jump_T * g[-1],
-            run=sol.run,
         )
 
 
@@ -557,8 +558,7 @@ def normalize_driver(
 
     def rate_at(t: float) -> float:
         r = spec.coeffs.rates(t, probe_x)
-        a2 = r["phi"] + r["eta"] ** 2 + r["delta"] ** 2
-        vals = r["alpha"] + eps_knob * a2
+        vals = r["alpha"] + eps_knob * aggregate_rate(r)
         if np.max(vals) - np.min(vals) > 1e-10 * (1.0 + float(np.max(np.abs(vals)))):
             raise ValueError(
                 "normalize_driver requires state-independent rate processes; "
@@ -605,8 +605,7 @@ def normalize_driver(
 
     def new_alpha(t, x):
         r = coeffs.rates(t, np.atleast_1d(np.asarray(x, dtype=float)))
-        a2 = r["phi"] + r["eta"] ** 2 + r["delta"] ** 2
-        out = -eps_knob * a2
+        out = -eps_knob * aggregate_rate(r)
         return out if np.ndim(x) else float(out[0])
 
     def new_varphi(t, x):

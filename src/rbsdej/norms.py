@@ -5,7 +5,7 @@ elementary p-power inequality used throughout the estimates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,14 +76,15 @@ def _mc(per_path: Array) -> tuple[float, float]:
     return mean, se
 
 
-def _norm_parts(y, z, u, k_total, bundle, exponents):
-    """Per-path values of each norm, before averaging."""
+def _norm_parts(y, z, u, k_total, bundle, exponents, lam):
+    """Per-path values of each norm, before averaging; ``lam`` holds the
+    mark weights."""
     p, beta = exponents.p, exponents.beta
     A = bundle.A_path
     steps = bundle.grid.steps
     w_half = np.exp(0.5 * p * beta * A)
     w_full = np.exp(beta * A)
-    lam = np.asarray(bundle.mark_weights, dtype=float)
+    lam = np.asarray(lam, dtype=float)
 
     sup_term = np.max(w_half * np.abs(y) ** p, axis=1)
     dA = np.diff(A, axis=1)
@@ -102,22 +103,16 @@ def _norm_parts(y, z, u, k_total, bundle, exponents):
 
 
 def estimate_norms(
-    sol: "BackwardSolution",
-    bundle: "PathBundle",
-    exponents: Exponents,
-    mark_weights: Array | None = None,
+    sol: "BackwardSolution", bundle: "PathBundle", exponents: Exponents
 ) -> NormReport:
     """Discrete-sum estimators of all six weighted norms.
 
     Integrals use the left-endpoint rule, the supremum runs over grid
     nodes, and the realized-jump energy sums |u|^2 over simulated jump
-    counts. ``mark_weights`` defaults to the weights recorded by the
-    solver on the solution.
+    counts. The mark weights are the ones the solution carries.
     """
-    lam = mark_weights if mark_weights is not None else sol.mark_weights
-    b = _with_weights(bundle, lam)
     k_total = sol.k_cum[:, -1] + sol.k_jump_T
-    parts = _norm_parts(sol.y, sol.z, sol.u, k_total, b, exponents)
+    parts = _norm_parts(sol.y, sol.z, sol.u, k_total, bundle, exponents, sol.mark_weights)
     (s_m, s_se), (sa_m, sa_se), (h_m, h_se), (ll_m, ll_se), (lm_m, lm_se), (k_m, k_se) = (
         _mc(x) for x in parts
     )
@@ -131,26 +126,8 @@ def estimate_norms(
     )
 
 
-class _WeightedBundle:
-    """Thin view pairing a bundle with the mark weights of the problem."""
-
-    def __init__(self, bundle, weights):
-        self._bundle = bundle
-        self.mark_weights = np.asarray(weights, dtype=float)
-
-    def __getattr__(self, name):
-        return getattr(self._bundle, name)
-
-
-def _with_weights(bundle, weights) -> "_WeightedBundle":
-    return _WeightedBundle(bundle, weights)
-
-
 def lenglart_check(
-    sol: "BackwardSolution",
-    bundle: "PathBundle",
-    exponents: Exponents,
-    mark_weights: Array | None = None,
+    sol: "BackwardSolution", bundle: "PathBundle", exponents: Exponents
 ) -> tuple[float, float, bool]:
     """Factor-2 domination of the realized-jump energy by its compensator.
 
@@ -158,10 +135,10 @@ def lenglart_check(
     rhs is the compensator version, and the gate is
     lhs <= 2 rhs + 3 joint standard errors.
     """
-    lam = mark_weights if mark_weights is not None else sol.mark_weights
-    b = _with_weights(bundle, lam)
     k_total = sol.k_cum[:, -1] + sol.k_jump_T
-    _, _, _, l_lam, l_mu, _ = _norm_parts(sol.y, sol.z, sol.u, k_total, b, exponents)
+    _, _, _, l_lam, l_mu, _ = _norm_parts(
+        sol.y, sol.z, sol.u, k_total, bundle, exponents, sol.mark_weights
+    )
     lhs, lhs_se = _mc(l_mu)
     rhs, rhs_se = _mc(l_lam)
     joint = float(np.sqrt(lhs_se**2 + (2.0 * rhs_se) ** 2))
@@ -191,24 +168,20 @@ def weighted_distance(
 ) -> float:
     """Distance between iterates in the contraction norm: the p-th root of
     the summed y-in-dA, z and u energies of the difference fields."""
-    b = _with_weights(bundle, mark_weights)
     zeros = np.zeros(dy.shape[0])
-    _, sa, h, ll, _, _ = _norm_parts(dy, dz, du, zeros, b, exponents)
+    _, sa, h, ll, _, _ = _norm_parts(dy, dz, du, zeros, bundle, exponents, mark_weights)
     total = float(np.mean(sa) + np.mean(h) + np.mean(ll))
     return total ** (1.0 / exponents.p)
 
 
 def scale_solution(sol: "BackwardSolution", s: float) -> "BackwardSolution":
     """Multiply every solution field by s (homogeneity experiments)."""
-    from .backward import BackwardSolution
-
-    return BackwardSolution(
+    return replace(
+        sol,
         y=s * sol.y,
         z=s * sol.z,
         u=s * sol.u,
         gamma=s * sol.gamma,
         k_cum=s * sol.k_cum,
         k_jump_T=s * sol.k_jump_T,
-        run=sol.run,
-        mark_weights=sol.mark_weights,
     )

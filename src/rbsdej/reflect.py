@@ -14,15 +14,14 @@ import numpy as np
 from .backward import (
     BackwardSolution,
     RegressionBasis,
-    RunRecord,
-    _check_bundle,
-    _fit_slice,
+    SolverError,
+    _backward,
     _solve_implicit_step,
     obstacle_on_grid,
     picard_solve,
-    solve_penalized,
 )
-from .model import EQUALITY_RTOL, ProblemSpec, driver_uses_zu
+from .model import EQUALITY_RTOL, ProblemSpec
+from .norms import _mc
 from .simulate import PathBundle
 
 Array = np.ndarray
@@ -43,7 +42,6 @@ class PenalizationSchedule:
 
     n_values: tuple[float, ...]
     stop_tol: float
-    norm_kind: str = "weighted_sup"
 
     def __post_init__(self) -> None:
         if self.stop_tol <= 0.0:
@@ -54,8 +52,6 @@ class PenalizationSchedule:
             raise ValueError("penalty levels must be strictly increasing")
         if self.n_values[0] <= 0.0:
             raise ValueError("penalty levels must be positive")
-        if self.norm_kind != "weighted_sup":
-            raise ValueError(f"unsupported penalty-error norm {self.norm_kind!r}")
 
     @classmethod
     def geometric(cls, n0: float = 1.0, levels: int = 11, stop_tol: float = 1e-3) -> "PenalizationSchedule":
@@ -113,10 +109,7 @@ def penalty_error(
     beta = spec.exponents.beta
     L = obstacle_on_grid(spec, bundle)
     w = np.exp(0.5 * p * beta * bundle.A_path)
-    per_path = np.max(w * np.maximum(L - sol.y, 0.0) ** p, axis=1)
-    mean = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / np.sqrt(per_path.size)) if per_path.size > 1 else 0.0
-    return mean, se
+    return _mc(np.max(w * np.maximum(L - sol.y, 0.0) ** p, axis=1))
 
 
 def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:
@@ -126,6 +119,14 @@ def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:
     xi = spec.terminal_values(xN)
     ltm = spec.obstacle_left_limit(xN)
     return ltm > xi + EQUALITY_RTOL * (1.0 + np.abs(xi))
+
+
+def _terminal_jump_formula(spec: ProblemSpec, bundle: PathBundle, y: Array, L: Array) -> Array:
+    """(Y_T - L_{T-})^- 1{Y_{T-} = L_{T-}} per path, with Y_{T-} proxied by
+    the last interior node."""
+    ltm = spec.obstacle_left_limit(bundle.forward_states[:, -1])
+    eq = np.abs(y[:, -2] - L[:, -2]) <= EQUALITY_RTOL * (1.0 + np.abs(L[:, -2]))
+    return np.maximum(ltm - y[:, -1], 0.0) * eq
 
 
 def extract_terminal_jump(
@@ -165,13 +166,7 @@ def skorokhod_report(
     dKc = np.diff(sol.k_cum, axis=1)
     clearance = sol.y[:, :-1] - L[:, :-1]
     flat = float(np.mean(np.sum(clearance * dKc, axis=1)))
-
-    xN = bundle.forward_states[:, -1]
-    ltm = spec.obstacle_left_limit(xN)
-    y_Tm = sol.y[:, -2]
-    L_last_interior = L[:, -2]
-    eq = np.abs(y_Tm - L_last_interior) <= EQUALITY_RTOL * (1.0 + np.abs(L_last_interior))
-    formula = np.maximum(ltm - sol.y[:, -1], 0.0) * eq
+    formula = _terminal_jump_formula(spec, bundle, sol.y, L)
     jump_residual = float(np.mean(np.abs(sol.k_jump_T - formula)))
 
     tol_k = 1e-10 * (1.0 + float(np.max(sol.k_cum[:, -1], initial=0.0)))
@@ -197,24 +192,27 @@ def solve_reflected_penalization(
 ) -> ReflectedRun:
     """Drive the penalization schedule towards the reflected solution.
 
-    Runs one backward solve per level (the fixed-point variant when the
-    driver consumes (z, u)) until the weighted sup penalty error drops
-    below the schedule's tolerance or the schedule is exhausted; the
-    latter is reported through ``reached_tol=False``, not an error. The
-    final solution has its terminal boundary layer classified as the
-    predictable jump, and carries the Skorokhod report of that split.
+    Runs one fixed-point solve per level (a single pass when the driver
+    ignores (z, u)) until the weighted sup penalty error drops below the
+    schedule's tolerance or the schedule is exhausted; the latter is
+    reported through ``reached_tol=False``, not an error. A non-finite
+    penalty error raises SolverError. The final solution has its terminal
+    boundary layer classified as the predictable jump, and carries the
+    Skorokhod report of that split.
     """
-    uses_zu = driver_uses_zu(spec)
     rows: list[PenaltyLevelRow] = []
     sol: BackwardSolution | None = None
     reached = False
     for n in schedule.n_values:
         t0 = time.perf_counter()
-        if uses_zu:
-            sol = picard_solve(spec, bundle, basis, n, tol=picard_tol, max_iter=picard_max_iter)
-        else:
-            sol = solve_penalized(spec, bundle, basis, n)
+        sol = picard_solve(spec, bundle, basis, n, tol=picard_tol, max_iter=picard_max_iter)
         err, err_se = penalty_error(sol, bundle, spec)
+        if not np.isfinite(err):
+            beta_A = spec.exponents.beta * float(np.max(bundle.A_path[:, -1]))
+            raise SolverError(
+                f"penalty error {err!r} at level n={n!r}; largest beta*A_T = {beta_A!r} "
+                "(the weight e^((p/2) beta A) overflows float64 above (p/2) beta A = 709)"
+            )
         rep = skorokhod_report(sol, spec, bundle)
         rows.append(
             PenaltyLevelRow(
@@ -255,79 +253,24 @@ def solve_reflected_dp_oracle(
     """Independent reflected scheme: backward dynamic programming
     y_i = max(L_i, c_i + f dt) with K read off the binding shortfall.
 
-    Complementarity holds exactly by construction (a positive increment
-    forces y_i = L_i). The terminal predictable jump is
+    It shares the regression sweep with the penalized scheme; only the
+    step differs. Complementarity holds exactly by construction (a
+    positive increment forces y_i = L_i). The terminal predictable jump is
     (terminal - L_{T-})^- on paths whose last interior node sits on the
     obstacle; the remaining last-step shortfall stays in K^c. The driver
     is evaluated at the pass's own (z, u) fields.
     """
-    _check_bundle(spec, bundle)
-    t_start = time.perf_counter()
-    grid = bundle.grid
-    N = grid.n_steps
-    steps = grid.steps
-    X = bundle.forward_states
-    n_paths = bundle.n_paths
-    m = spec.marks.m
-    marks = spec.marks.marks_array()
-    lam = spec.marks.weights_array()
 
-    y = np.empty((n_paths, N + 1))
-    z = np.zeros((n_paths, N + 1))
-    u = np.zeros((n_paths, N + 1, m))
-    gamma = np.zeros((n_paths, N + 1))
-    k_inc = np.zeros((n_paths, N))
-    y[:, N] = spec.terminal_values(X[:, N])
-    L = obstacle_on_grid(spec, bundle)
-    y0_stderr = 0.0
+    def projection_step(fy, c, L_i, dt, i):
+        y_free = _solve_implicit_step(fy, c, L_i, dt, 0.0, i)
+        return np.maximum(L_i, y_free), np.maximum(L_i - y_free, 0.0)
 
-    for i in range(N - 1, -1, -1):
-        t = float(grid.nodes[i])
-        dt = float(steps[i])
-        xi = X[:, i]
-        fit = _fit_slice(xi, y[:, i + 1], basis)
-        c = fit(xi)
-        for j in range(m):
-            shifted = xi + np.asarray(
-                spec.forward.jump_size(t, xi, float(marks[j])), dtype=float
-            )
-            u[:, i, j] = fit(shifted) - c
-        if m:
-            gamma[:, i] = u[:, i, :] @ lam
-        zfit = _fit_slice(xi, y[:, i + 1] * bundle.brownian_increments[:, i] / dt, basis)
-        z[:, i] = zfit(xi)
+    def split_terminal_jump(y, L, k_last):
+        return np.minimum(_terminal_jump_formula(spec, bundle, y, L), k_last)
 
-        def fy(yv: Array) -> Array:
-            return spec.driver_values(t, xi, yv, z[:, i], u[:, i, :])
-
-        y_free = _solve_implicit_step(fy, c, L[:, i], dt, 0.0, i)
-        y[:, i] = np.maximum(L[:, i], y_free)
-        k_inc[:, i] = np.maximum(L[:, i] - y_free, 0.0)
-        if i == 0:
-            targets = y[:, 1] + dt * fy(y[:, 0]) + k_inc[:, 0]
-            y0_stderr = float(np.std(targets, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-
-    # split of the last-step shortfall into terminal jump and K^c remainder
-    xN = X[:, -1]
-    ltm = spec.obstacle_left_limit(xN)
-    eq = np.abs(y[:, -2] - L[:, -2]) <= EQUALITY_RTOL * (1.0 + np.abs(L[:, -2]))
-    jump = np.minimum(np.maximum(ltm - y[:, -1], 0.0) * eq, k_inc[:, -1])
-    k_inc[:, -1] = k_inc[:, -1] - jump
-
-    k_cum = np.zeros((n_paths, N + 1))
-    k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
-    run = RunRecord(
-        n_penalty=float("inf"),
-        picard_iters=0,
-        residual_history=(),
-        seed=bundle.seed,
-        wall_time=time.perf_counter() - t_start,
-        y0_stderr=y0_stderr,
-    )
-    return BackwardSolution(
-        y=y, z=z, u=u, gamma=gamma,
-        k_cum=k_cum, k_jump_T=jump,
-        run=run, mark_weights=lam,
+    return _backward(
+        spec, bundle, basis, projection_step, float("inf"),
+        terminal_jump=split_terminal_jump,
     )
 
 

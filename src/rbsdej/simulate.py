@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import AssumptionError, ProblemSpec, cumulative_A
+from .model import AssumptionError, ProblemSpec, aggregate_rate, cumulative_A
 
 Array = np.ndarray
 
@@ -178,7 +178,7 @@ def sample_paths(
         r = spec.coeffs.rates(float(grid.nodes[i]), x_safe[:, i])
         for k in cp:
             cp[k][:, i] = r[k]
-    a2 = cp["phi"] + cp["eta"] ** 2 + cp["delta"] ** 2
+    a2 = aggregate_rate(cp)
     viol = (a2 < eps) & ok[:, None]
     if viol.any():
         p0, i0 = (int(v) for v in np.argwhere(viol)[0])
@@ -231,28 +231,42 @@ def save_bundle(path: str | Path, bundle: PathBundle) -> None:
 
 
 def load_bundle(path: str | Path) -> PathBundle:
+    """Read a bundle written by `save_bundle`; a malformed or truncated
+    file raises SimulationError naming the section that failed."""
     with open(path, "rb") as fh:
+
+        def read(nbytes: int, section: str) -> bytes:
+            buf = fh.read(nbytes)
+            if len(buf) != nbytes:
+                raise SimulationError(
+                    f"truncated bundle file: section {section!r} needs {nbytes} bytes, "
+                    f"found {len(buf)}"
+                )
+            return buf
+
         magic = fh.read(4)
         if magic != _MAGIC:
             raise SimulationError(f"not a path-bundle file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != _VERSION:
             raise SimulationError(f"unsupported bundle version {version}")
-        n_paths, N, m, seed = struct.unpack("<QQQQ", fh.read(32))
+        n_paths, N, m, seed = struct.unpack("<QQQQ", read(32, "header"))
 
-        def rd(shape, dtype="<f8"):
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
+        def rd(section, shape, dtype="<f8"):
+            buf = read(int(np.prod(shape)) * 8, section)
             return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
 
-        nodes = rd((N + 1,))
-        dW = rd((n_paths, N))
-        counts = rd((n_paths, N, m), dtype="<i8")
-        X = rd((n_paths, N + 1))
-        A = rd((n_paths, N + 1))
-        coeff = [rd((n_paths, N + 1)) for _ in range(7)]
-        (n_flag,) = struct.unpack("<Q", fh.read(8))
-        flagged = rd((n_flag,), dtype="<i8")
+        nodes = rd("nodes", (N + 1,))
+        dW = rd("brownian_increments", (n_paths, N))
+        counts = rd("jump_counts", (n_paths, N, m), dtype="<i8")
+        X = rd("forward_states", (n_paths, N + 1))
+        A = rd("A_path", (n_paths, N + 1))
+        coeff = [
+            rd(name, (n_paths, N + 1))
+            for name in ("alpha", "eta", "delta", "phi", "varphi", "a2", "zeta2")
+        ]
+        (n_flag,) = struct.unpack("<Q", read(8, "flagged count"))
+        flagged = rd("flagged_paths", (n_flag,), dtype="<i8")
 
     return PathBundle(
         grid=TimeGrid(nodes=nodes),

@@ -75,6 +75,25 @@ class TestConfigParsing:
         assert code == cli.EXIT_CONFIG_ERROR
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ini_edit, flags, field",
+        [
+            (("name = flat_obstacle", "name = flat_obstacle\nkappa = abc"), [], "problem.kappa"),
+            (("beta = auto", "beta = foo"), [], "exponents.beta"),
+            (None, ["--seed", "-1"], "mc.seed"),
+            (None, ["--threads", "0"], "run.threads"),
+        ],
+        ids=["kappa", "beta", "seed", "threads"],
+    )
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, ini_edit, flags, field):
+        f = tmp_path / "bad.ini"
+        f.write_text(CONFIG.replace(*ini_edit) if ini_edit else CONFIG)
+        out = tmp_path / "out"
+        code = cli.main(["solve", "--config", str(f), "--out", str(out)] + flags)
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert field in capsys.readouterr().err
+        assert not (out / "config.ini").exists()
+
     def test_missing_section(self, tmp_path):
         f = tmp_path / "bad.ini"
         f.write_text(CONFIG.replace("[schedule]", "[sched]"))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import rbsdej as rb
 from rbsdej.verify import make_synthetic_solution
 
 
-def constant_solution(bundle, y=0.0, z=0.0, u=(), k=0.0):
-    """Solution shell with constant fields, for closed-form norm checks."""
+def constant_solution(bundle, y=0.0, z=0.0, u=(), k=0.0, lam=()):
+    """Solution shell with constant fields and mark weights ``lam``, for
+    closed-form norm checks."""
     n, nodes = bundle.n_paths, bundle.grid.nodes.size
     m = len(u)
-    shell = make_synthetic_solution(bundle, np.zeros((n, nodes, m)), np.ones(max(m, 1))[:m])
+    shell = make_synthetic_solution(bundle, np.zeros((n, nodes, m)), np.asarray(lam, dtype=float))
     return rb.BackwardSolution(
         y=np.full((n, nodes), y),
         z=np.full((n, nodes), z),
@@ -40,21 +42,20 @@ def counter_bundle():
 class TestEstimateNorms:
     def test_constant_y(self, counter_bundle, zero_beta_exponents):
         sol = constant_solution(counter_bundle, y=-2.0)
-        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents, mark_weights=np.zeros(0))
+        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents)
         assert rep.s_p_beta == pytest.approx(2.0**1.5, abs=1e-12)
         assert rep.s_p_beta_se < 1e-15
 
     def test_constant_z_unit_horizon(self, counter_bundle, zero_beta_exponents):
         sol = constant_solution(counter_bundle, z=1.0)
-        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents, mark_weights=np.zeros(0))
+        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents)
         assert rep.h_p_beta == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_u_jensen(self, counter_bundle, zero_beta_exponents):
         # lambda T u0^2 compensator energy; realized energy via E[N^{p/2}]
         u0, lam, T, p = 0.7, 2.0, 1.0, 1.5
-        sol = constant_solution(counter_bundle, u=(u0,))
-        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents,
-                                mark_weights=np.array([lam]))
+        sol = constant_solution(counter_bundle, u=(u0,), lam=(lam,))
+        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents)
         assert rep.l_p_lambda_beta == pytest.approx((lam * T * u0**2) ** (p / 2.0), rel=1e-12)
         # oracle: E[N_T^{p/2}] by direct summation of the Poisson pmf
         mean_pow = sum(
@@ -68,7 +69,7 @@ class TestEstimateNorms:
 
     def test_k_norm(self, counter_bundle, zero_beta_exponents):
         sol = constant_solution(counter_bundle, k=3.0)
-        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents, mark_weights=np.zeros(0))
+        rep = rb.estimate_norms(sol, counter_bundle, zero_beta_exponents)
         assert rep.k_p == pytest.approx(3.0**1.5, abs=1e-12)
 
     def test_weight_monotonic_in_beta(self, put_spec, put_bundle_small, basis3):
@@ -88,18 +89,29 @@ class TestEstimateNorms:
                 b = getattr(base, name)
                 assert getattr(scaled, name) == pytest.approx(s**e.p * b, rel=1e-12, abs=1e-300)
 
+    def test_mapped_back_solution_keeps_mark_weights(self):
+        spec = rb.build_problem("linear_gamma")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tspec, norm = rb.normalize_driver(spec)
+        grid = rb.build_grid(1.0, 10)
+        bundle = rb.sample_paths(tspec, grid, 500, seed=2)
+        sol = rb.solve_penalized(tspec, bundle, rb.RegressionBasis(degree=2), 4.0)
+        back = norm.map_back_solution(sol, grid)
+        assert np.array_equal(back.mark_weights, spec.marks.weights_array())
+        rep = rb.estimate_norms(back, bundle, spec.exponents)
+        assert np.isfinite(rep.l_p_lambda_beta) and rep.l_p_lambda_beta > 0.0
+
 
 class TestLenglartCheck:
     def test_zero_field(self, counter_bundle, zero_beta_exponents):
-        sol = constant_solution(counter_bundle, u=(0.0,))
-        lhs, rhs, ok = rb.lenglart_check(sol, counter_bundle, zero_beta_exponents,
-                                         mark_weights=np.array([2.0]))
+        sol = constant_solution(counter_bundle, u=(0.0,), lam=(2.0,))
+        lhs, rhs, ok = rb.lenglart_check(sol, counter_bundle, zero_beta_exponents)
         assert (lhs, rhs, ok) == (0.0, 0.0, True)
 
     def test_constant_field(self, counter_bundle, zero_beta_exponents):
-        sol = constant_solution(counter_bundle, u=(0.7,))
-        lhs, rhs, ok = rb.lenglart_check(sol, counter_bundle, zero_beta_exponents,
-                                         mark_weights=np.array([2.0]))
+        sol = constant_solution(counter_bundle, u=(0.7,), lam=(2.0,))
+        lhs, rhs, ok = rb.lenglart_check(sol, counter_bundle, zero_beta_exponents)
         assert ok and lhs > 0.0
 
     def test_randomized_sweep(self):

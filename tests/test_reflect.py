@@ -63,6 +63,23 @@ class TestReflectedPenalization:
         for k in range(len(errs) - 1):
             assert errs[k + 1] <= errs[k] + 2.0 * math.hypot(ses[k], ses[k + 1])
 
+    def test_zu_free_driver_records_single_picard_pass(self, put_spec, basis3):
+        bundle = rb.sample_paths(put_spec, rb.build_grid(1.0, 10), 1000, seed=4)
+        run = rb.solve_reflected_penalization(
+            put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 2, 1e-12),
+        )
+        assert run.solution.run.picard_iters == 1
+        assert run.solution.run.residual_history == (0.0,)
+
+    def test_overflowing_weights_raise(self, basis3):
+        # q = 21 makes zeta^2 = a^{21} large, so e^{(p/2) beta A} overflows
+        spec = rb.build_problem("american_put", rate=2.0, p=1.05)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 20), 2000, seed=3)
+        with np.errstate(all="ignore"), pytest.raises(rb.SolverError, match=r"n=1\.0.*beta\*A_T"):
+            rb.solve_reflected_penalization(
+                spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-3),
+            )
+
     def test_zu_driver_routes_through_picard(self, basis3):
         spec = rb.build_problem("linear_z")
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=5)

@@ -113,6 +113,17 @@ class TestBundleIO:
         assert rb.bundles_equal(b, loaded)
         assert np.array_equal(loaded.coeff_path.varphi, b.coeff_path.varphi)
 
+    def test_rejects_truncated_file(self, tmp_path):
+        spec = rb.build_problem("american_put_jumps")
+        b = rb.sample_paths(spec, rb.build_grid(1.0, 9), 300, seed=8)
+        f = tmp_path / "bundle.bin"
+        rb.save_bundle(f, b)
+        data = f.read_bytes()
+        # cut inside the Brownian increments, which follow the 44-byte header and 10 nodes
+        f.write_bytes(data[: 44 + 8 * 10 + 100])
+        with pytest.raises(rb.simulate.SimulationError, match="brownian_increments"):
+            rb.load_bundle(f)
+
     def test_rejects_foreign_file(self, tmp_path):
         f = tmp_path / "junk.bin"
         f.write_bytes(b"NOPE" + b"\x00" * 64)
