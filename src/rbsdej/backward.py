@@ -39,7 +39,6 @@ class RegressionBasis:
     """Polynomial-in-state basis with per-slice affine standardization."""
 
     degree: int
-    standardize: bool = True
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -81,11 +80,7 @@ def _fit_slice(states: Array, targets: Array, basis: RegressionBasis) -> _Fitted
             f"{n} paths cannot identify a degree-{basis.degree} basis; "
             "reduce the degree"
         )
-    if basis.standardize:
-        s = (states - lo) / span
-    else:
-        s, lo, span = states, 0.0, 1.0
-    design = np.vander(s, cols, increasing=True)
+    design = np.vander((states - lo) / span, cols, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < cols:
         raise RegressionRankError(

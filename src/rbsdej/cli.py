@@ -2,9 +2,9 @@
 
 Subcommands: ``solve`` (mode from the config: penalized | reflected |
 oracle), ``verify`` (full property battery), ``norms`` (norm report of a
-single penalized solve), ``bench`` (timing breakdown). Configs are INI
-files with the sections documented in the README; outputs are CSV tables
-plus a plain-text manifest. Numerical CSV content is byte-reproducible
+single penalized solve). Configs are INI files with the sections
+documented in the README; outputs are CSV tables plus a plain-text
+manifest with per-stage timings. Numerical CSV content is byte-reproducible
 for a fixed config and seed; wall-clock columns and the manifest
 timestamp line are excluded from that contract (see
 ``reproducibility_view``).
@@ -26,11 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import RegressionBasis, solve_penalized
+from .backward import RegressionBasis, SolverError, solve_penalized
 from .norms import estimate_norms, write_norms_csv
 from .reflect import (
     PenalizationSchedule,
     PenaltyLevelRow,
+    _require_finite,
     penalty_error,
     skorokhod_report,
     solve_reflected_dp_oracle,
@@ -296,6 +297,47 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
     return all(r.passed for r in results)
 
 
+def _solve(config: ExperimentConfig, spec, bundle, timings: list) -> tuple:
+    """Run the configured solver mode and its norm report. Returns the
+    solution and the (file name, writer, value) tables to write; raises
+    SolverError, before anything is written, on a non-finite result."""
+    basis = RegressionBasis(degree=config.degree)
+    t = time.perf_counter()
+    tables = []
+    if config.mode == "reflected":
+        res = solve_reflected_penalization(spec, bundle, basis, config.schedule())
+        timings.append(("solve", time.perf_counter() - t))
+        sol = res.solution
+        tables += [("convergence.csv", write_convergence_csv, res.table),
+                   ("skorokhod.csv", _write_skorokhod_csv, res.skorokhod)]
+    elif config.mode == "oracle":
+        sol = solve_reflected_dp_oracle(spec, bundle, basis)
+        timings.append(("solve", time.perf_counter() - t))
+        tables.append(("skorokhod.csv", _write_skorokhod_csv, skorokhod_report(sol, spec, bundle)))
+    else:  # penalized / norms: single solve at the schedule's first level
+        sol = solve_penalized(spec, bundle, basis, config.n0)
+        timings.append(("solve", time.perf_counter() - t))
+    if config.mode == "penalized":
+        err, err_se = penalty_error(sol, bundle, spec)
+        _require_finite({"penalty error": err}, f"at level n={config.n0!r}", spec, bundle)
+        row = PenaltyLevelRow(
+            n=config.n0,
+            penalty_error=err, penalty_error_se=err_se,
+            y0_mean=sol.y0_mean(), y0_stderr=sol.run.y0_stderr,
+            k_T_mean=float(np.mean(sol.k_T())),
+            flat_integral=skorokhod_report(sol, spec, bundle).flat_integral,
+            wall_time=timings[-1][1],
+        )
+        tables.append(("convergence.csv", write_convergence_csv, [row]))
+
+    t = time.perf_counter()
+    report = estimate_norms(sol, bundle, spec.exponents)
+    timings.append(("norms", time.perf_counter() - t))
+    _require_finite(report.values(), "in the norm report", spec, bundle)
+    tables += [("norms.csv", write_norms_csv, report), ("solution.csv", _write_solution_csv, sol)]
+    return sol, tables
+
+
 def run(
     config_path: str | Path,
     out_dir: str | Path | None = None,
@@ -339,46 +381,14 @@ def run(
         t = time.perf_counter()
         bundle = sample_paths(spec, grid, config.n_paths, config.seed, n_threads=config.threads)
         timings.append(("simulate", time.perf_counter() - t))
-        basis = RegressionBasis(degree=config.degree)
-
-        t = time.perf_counter()
-        if config.mode == "reflected":
-            res = solve_reflected_penalization(spec, bundle, basis, config.schedule())
-            timings.append(("solve", time.perf_counter() - t))
-            sol = res.solution
-            with open(out / "convergence.csv", "w", newline="") as fh:
-                write_convergence_csv(res.table, fh)
-            with open(out / "skorokhod.csv", "w", newline="") as fh:
-                _write_skorokhod_csv(res.skorokhod, fh)
-        elif config.mode == "oracle":
-            sol = solve_reflected_dp_oracle(spec, bundle, basis)
-            timings.append(("solve", time.perf_counter() - t))
-            with open(out / "skorokhod.csv", "w", newline="") as fh:
-                _write_skorokhod_csv(skorokhod_report(sol, spec, bundle), fh)
-        else:  # penalized / norms: single solve at the schedule's first level
-            sol = solve_penalized(spec, bundle, basis, config.n0)
-            timings.append(("solve", time.perf_counter() - t))
-            if config.mode == "penalized":
-                row = PenaltyLevelRow(
-                    n=config.n0,
-                    penalty_error=0.0, penalty_error_se=0.0,
-                    y0_mean=sol.y0_mean(), y0_stderr=sol.run.y0_stderr,
-                    k_T_mean=float(np.mean(sol.k_T())),
-                    flat_integral=skorokhod_report(sol, spec, bundle).flat_integral,
-                    wall_time=timings[-1][1],
-                )
-                err, err_se = penalty_error(sol, bundle, spec)
-                row = replace(row, penalty_error=err, penalty_error_se=err_se)
-                with open(out / "convergence.csv", "w", newline="") as fh:
-                    write_convergence_csv([row], fh)
-
-        t = time.perf_counter()
-        report = estimate_norms(sol, bundle, spec.exponents)
-        timings.append(("norms", time.perf_counter() - t))
-        with open(out / "norms.csv", "w", newline="") as fh:
-            write_norms_csv(report, fh)
-        with open(out / "solution.csv", "w", newline="") as fh:
-            _write_solution_csv(sol, fh)
+        try:
+            sol, tables = _solve(config, spec, bundle, timings)
+        except SolverError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SUITE_FAILURE
+        for name, write, value in tables:
+            with open(out / name, "w", newline="") as fh:
+                write(value, fh)
         for w in sol.run.warnings:
             print(f"warning: {w}", file=sys.stderr)
 
@@ -397,26 +407,6 @@ def run(
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 
 
-def _bench(config_path, out_dir, seed, threads) -> int:
-    """Time the configured run and write a stage/seconds table."""
-    try:
-        config = parse_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    out = Path(out_dir) if out_dir is not None else Path(os.environ.get(OUT_DIR_ENV, "results"))
-    out.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    code = run(config_path, out_dir=out, seed=seed, threads=threads)
-    elapsed = time.perf_counter() - t0
-    with open(out / "bench.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["stage", "seconds"])
-        w.writerow([config.mode, f"{elapsed:.3f}"])
-    print(f"bench: mode={config.mode} took {elapsed:.3f}s")
-    return code
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="rbsdej",
@@ -427,7 +417,6 @@ def main(argv: list[str] | None = None) -> int:
         ("solve", "run the solver mode named in the config"),
         ("verify", "run the full property battery"),
         ("norms", "norm report of a single penalized solve"),
-        ("bench", "time the configured run"),
     ):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="path to the INI config")
@@ -436,8 +425,6 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--threads", type=int, default=None, help="worker-thread cap (does not change results)")
     args = parser.parse_args(argv)
 
-    if args.command == "bench":
-        return _bench(args.config, args.out, args.seed, args.threads)
     override = {"solve": None, "verify": "verify-all", "norms": "norms"}[args.command]
     return run(args.config, out_dir=args.out, seed=args.seed, threads=args.threads,
                mode_override=override)

@@ -81,11 +81,14 @@ class Exponents:
 CoeffFn = Callable[[float, Array], object]
 
 
+def _shaped(v: object, like: Array) -> Array:
+    """``v`` as a float array of the shape of ``like`` (a broadcast copy if needed)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.shape == np.shape(like) else np.broadcast_to(v, np.shape(like)).copy()
+
+
 def _eval(fn: CoeffFn, t: float, x: Array) -> Array:
-    v = np.asarray(fn(t, x), dtype=float)
-    if v.shape != np.shape(x):
-        v = np.broadcast_to(v, np.shape(x)).copy()
-    return v
+    return _shaped(fn(t, x), x)
 
 
 @dataclass(frozen=True)
@@ -255,16 +258,13 @@ class ProblemSpec:
         return np.asarray(self.terminal(np.asarray(x, dtype=float)), dtype=float)
 
     def obstacle_values(self, t: float, x: Array) -> Array:
-        v = np.asarray(self.obstacle(t, np.asarray(x, dtype=float)), dtype=float)
-        return np.broadcast_to(v, np.shape(x)).copy() if v.shape != np.shape(x) else v
+        return _shaped(self.obstacle(t, np.asarray(x, dtype=float)), x)
 
     def obstacle_left_limit(self, x: Array) -> Array:
-        v = np.asarray(self.obstacle_left_limit_T(np.asarray(x, dtype=float)), dtype=float)
-        return np.broadcast_to(v, np.shape(x)).copy() if v.shape != np.shape(x) else v
+        return _shaped(self.obstacle_left_limit_T(np.asarray(x, dtype=float)), x)
 
     def driver_values(self, t: float, x: Array, y: Array, z: Array, u: Array) -> Array:
-        v = np.asarray(self.driver(t, x, y, z, u), dtype=float)
-        return np.broadcast_to(v, np.shape(y)).copy() if v.shape != np.shape(y) else v
+        return _shaped(self.driver(t, x, y, z, u), y)
 
 
 def driver_uses_zu(spec: ProblemSpec, n_probe: int = 8, seed: int = 0) -> bool:
@@ -355,16 +355,21 @@ def validate_assumptions(
     u_s = 1.5 * rng.standard_normal((n, m))
     u2_s = 1.5 * rng.standard_normal((n, m))
 
-    checks: list[AssumptionCheck] = []
-
-    def run_rows(fn):
-        # coefficient rates vary with t, so probe row by row
-        vals = np.empty(n)
-        for i in range(n):
-            vals[i] = fn(i)
-        return vals
-
     tol = 1e-9
+
+    def verdict(name, margin, witness, allowance=tol, side_ok=True, side_margin=-np.inf, detail=""):
+        # coefficient rates vary with t, so probe row by row; the worst row
+        # decides and, on failure, supplies the witness
+        margins = np.array([margin(i) for i in range(n)], dtype=float)
+        worst = int(np.argmax(margins))
+        passed = margins[worst] <= allowance and side_ok
+        return AssumptionCheck(
+            name,
+            bool(passed),
+            float(max(margins[worst], side_margin)),
+            None if passed else tuple(float(w[worst]) for w in witness),
+            detail,
+        )
 
     # monotonicity in y: (y - y') (f(y) - f(y')) <= alpha |y - y'|^2
     def mono_margin(i):
@@ -376,20 +381,6 @@ def validate_assumptions(
             return -np.inf
         alpha = float(_eval(spec.coeffs.alpha, t, x)[0])
         return float(dy * (fy[0] - fy2[0]) - alpha * dy * dy) / (dy * dy)
-
-    margins = run_rows(mono_margin)
-    worst = int(np.argmax(margins))
-    passed = margins[worst] <= tol
-    checks.append(
-        AssumptionCheck(
-            "monotonicity_y",
-            bool(passed),
-            float(margins[worst]),
-            None
-            if passed
-            else (float(t_s[worst]), float(x_s[worst]), float(y_s[worst]), float(y2_s[worst])),
-        )
-    )
 
     # Lipschitz in (z, u): |f(z,u) - f(z',u')| <= eta |z-z'| + delta ||u-u'||
     def lip_margin(i):
@@ -403,20 +394,6 @@ def validate_assumptions(
         )
         return float(abs(f1[0] - f2[0]) - bound)
 
-    margins = run_rows(lip_margin)
-    worst = int(np.argmax(margins))
-    passed = margins[worst] <= tol
-    checks.append(
-        AssumptionCheck(
-            "lipschitz_zu",
-            bool(passed),
-            float(margins[worst]),
-            None
-            if passed
-            else (float(t_s[worst]), float(x_s[worst]), float(z_s[worst]), float(z2_s[worst])),
-        )
-    )
-
     # growth: |f(t, y, 0, 0)| <= varphi + phi |y|, with varphi >= 1
     def growth_margin(i):
         t, x = float(t_s[i]), x_s[i : i + 1]
@@ -424,20 +401,8 @@ def validate_assumptions(
         r = spec.coeffs.rates(t, x)
         return float(abs(f0[0]) - (r["varphi"][0] + r["phi"][0] * abs(y_s[i])))
 
-    margins = run_rows(growth_margin)
-    worst = int(np.argmax(margins))
     varphi_min = min(
         float(np.min(spec.coeffs.rates(float(t), x_s)["varphi"])) for t in t_s[:8]
-    )
-    passed = margins[worst] <= tol and varphi_min >= 1.0 - 1e-12
-    checks.append(
-        AssumptionCheck(
-            "growth",
-            bool(passed),
-            float(max(margins[worst], 1.0 - varphi_min)),
-            None if passed else (float(t_s[worst]), float(x_s[worst]), float(y_s[worst])),
-            detail="includes varphi >= 1",
-        )
     )
 
     # aggregate rate floor: a^2 >= eps everywhere sampled
@@ -445,18 +410,6 @@ def validate_assumptions(
         t, x = float(t_s[i]), x_s[i : i + 1]
         a2 = float(aggregate_rate(spec.coeffs.rates(t, x))[0])
         return spec.exponents.eps - a2
-
-    margins = run_rows(a2_margin)
-    worst = int(np.argmax(margins))
-    passed = margins[worst] <= tol
-    checks.append(
-        AssumptionCheck(
-            "rate_floor",
-            bool(passed),
-            float(margins[worst]),
-            None if passed else (float(t_s[worst]), float(x_s[worst])),
-        )
-    )
 
     # driver continuity in y, finite-difference probe
     def cont_margin(i):
@@ -467,38 +420,53 @@ def validate_assumptions(
         )
         return float(abs(f1[0] - f0[0]) - 1e-3 * (1.0 + abs(f0[0])))
 
-    margins = run_rows(cont_margin)
-    worst = int(np.argmax(margins))
-    passed = margins[worst] <= 0.0
-    checks.append(
-        AssumptionCheck(
-            "y_continuity_probe",
-            bool(passed),
-            float(margins[worst]),
-            None if passed else (float(t_s[worst]), float(x_s[worst]), float(y_s[worst])),
-        )
-    )
-
     # barrier consistency at the horizon: obstacle(T, x) <= terminal(x)
     xi = spec.terminal_values(x_s)
     LT = spec.obstacle_values(T, x_s)
-    margins = LT - xi
-    worst = int(np.argmax(margins))
-    passed = margins[worst] <= tol * (1.0 + float(np.max(np.abs(xi))))
-    checks.append(
-        AssumptionCheck(
-            "obstacle_below_terminal",
-            bool(passed),
-            float(margins[worst]),
-            None if passed else (float(x_s[worst]), float(LT[worst]), float(xi[worst])),
-        )
-    )
 
-    return AssumptionReport(checks=tuple(checks))
+    return AssumptionReport(checks=(
+        verdict("monotonicity_y", mono_margin, (t_s, x_s, y_s, y2_s)),
+        verdict("lipschitz_zu", lip_margin, (t_s, x_s, z_s, z2_s)),
+        verdict(
+            "growth", growth_margin, (t_s, x_s, y_s),
+            side_ok=varphi_min >= 1.0 - 1e-12, side_margin=1.0 - varphi_min,
+            detail="includes varphi >= 1",
+        ),
+        verdict("rate_floor", a2_margin, (t_s, x_s)),
+        verdict("y_continuity_probe", cont_margin, (t_s, x_s, y_s), allowance=0.0),
+        verdict(
+            "obstacle_below_terminal", lambda i: LT[i] - xi[i], (x_s, LT, xi),
+            allowance=tol * (1.0 + float(np.max(np.abs(xi)))),
+        ),
+    ))
 
 
 # ---------------------------------------------------------------------------
-# monotonicity-normalizing change of variables
+# rescaled data and the monotonicity-normalizing change of variables
+
+
+def _rescale_data(spec: ProblemSpec, g: Callable[[float], float], g_T: float) -> ProblemSpec:
+    """Problem data of the rescaled value g(t) Y_t: obstacle and varphi
+    times g(t), terminal value and the obstacle's left limit at T times
+    g_T, and the driver g(t) f(t, x, y/g, z/g, u/g)."""
+
+    def driver(t, x, y, z, u):
+        gt = g(t)
+        f = spec.driver(t, x, np.asarray(y) / gt, np.asarray(z) / gt, np.asarray(u) / gt)
+        return gt * np.asarray(f, dtype=float)
+
+    varphi = spec.coeffs.varphi
+    left = spec.obstacle_left_limit_T
+    return replace(
+        spec,
+        driver=driver,
+        terminal=lambda x: g_T * np.asarray(spec.terminal(x), dtype=float),
+        obstacle=lambda t, x: g(t) * np.asarray(spec.obstacle(t, x), dtype=float),
+        obstacle_left_limit_T=lambda x: g_T * np.asarray(left(x), dtype=float),
+        coeffs=replace(
+            spec.coeffs, varphi=lambda t, x: g(t) * np.asarray(varphi(t, x), dtype=float)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -579,46 +547,20 @@ def normalize_driver(
         eps_knob=eps_knob, horizon=T, _dense_nodes=tq, _dense_R=dense_R
     )
 
-    base_driver = spec.driver
-    base_terminal = spec.terminal
-    base_obstacle = spec.obstacle
-    base_left = spec.obstacle_left_limit_T
-    coeffs = spec.coeffs
-    eT = float(np.exp(dense_R[-1]))
+    scaled = _rescale_data(
+        spec, lambda t: float(np.exp(norm.log_factor(t))), float(np.exp(dense_R[-1]))
+    )
 
     def rate_fn(t: float) -> float:
         return float(np.interp(t, tq[:-1], rdot))
 
     def new_driver(t, x, y, z, u):
-        g = float(np.exp(norm.log_factor(t)))
-        f = np.asarray(base_driver(t, x, np.asarray(y) / g, np.asarray(z) / g, np.asarray(u) / g))
-        return g * f - rate_fn(t) * np.asarray(y)
-
-    def new_terminal(x):
-        return eT * np.asarray(base_terminal(x), dtype=float)
-
-    def new_obstacle(t, x):
-        return float(np.exp(norm.log_factor(t))) * np.asarray(base_obstacle(t, x), dtype=float)
-
-    def new_left(x):
-        return eT * np.asarray(base_left(x), dtype=float)
+        return scaled.driver(t, x, y, z, u) - rate_fn(t) * np.asarray(y)
 
     def new_alpha(t, x):
-        r = coeffs.rates(t, np.atleast_1d(np.asarray(x, dtype=float)))
+        r = spec.coeffs.rates(t, np.atleast_1d(np.asarray(x, dtype=float)))
         out = -eps_knob * aggregate_rate(r)
         return out if np.ndim(x) else float(out[0])
 
-    def new_varphi(t, x):
-        g = float(np.exp(norm.log_factor(t)))
-        return g * _eval(coeffs.varphi, t, np.atleast_1d(np.asarray(x, dtype=float)))
-
-    new_coeffs = replace(coeffs, alpha=new_alpha, varphi=new_varphi)
-    new_spec = replace(
-        spec,
-        coeffs=new_coeffs,
-        driver=new_driver,
-        terminal=new_terminal,
-        obstacle=new_obstacle,
-        obstacle_left_limit_T=new_left,
-    )
-    return new_spec, norm
+    new_coeffs = replace(scaled.coeffs, alpha=new_alpha)
+    return replace(scaled, coeffs=new_coeffs, driver=new_driver), norm

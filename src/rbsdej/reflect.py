@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -112,6 +112,20 @@ def penalty_error(
     return _mc(np.max(w * np.maximum(L - sol.y, 0.0) ** p, axis=1))
 
 
+def _require_finite(
+    values: Mapping[str, float], where: str, spec: ProblemSpec, bundle: PathBundle
+) -> None:
+    """Raise SolverError naming the non-finite ``values`` and the largest
+    beta*A_T, whose exponential weights overflow float64 past 709."""
+    bad = [f"{name} {v!r}" for name, v in values.items() if not np.isfinite(v)]
+    if bad:
+        beta_A = spec.exponents.beta * float(np.max(bundle.A_path[:, -1]))
+        raise SolverError(
+            f"{', '.join(bad)} {where}; largest beta*A_T = {beta_A!r} "
+            "(a weight e^(c beta A) overflows float64 above c beta A = 709)"
+        )
+
+
 def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:
     """Paths on which the data force a predictable jump of K at T:
     the obstacle's left limit sits strictly above the terminal payoff."""
@@ -207,12 +221,7 @@ def solve_reflected_penalization(
         t0 = time.perf_counter()
         sol = picard_solve(spec, bundle, basis, n, tol=picard_tol, max_iter=picard_max_iter)
         err, err_se = penalty_error(sol, bundle, spec)
-        if not np.isfinite(err):
-            beta_A = spec.exponents.beta * float(np.max(bundle.A_path[:, -1]))
-            raise SolverError(
-                f"penalty error {err!r} at level n={n!r}; largest beta*A_T = {beta_A!r} "
-                "(the weight e^((p/2) beta A) overflows float64 above (p/2) beta A = 709)"
-            )
+        _require_finite({"penalty error": err}, f"at level n={n!r}", spec, bundle)
         rep = skorokhod_report(sol, spec, bundle)
         rows.append(
             PenaltyLevelRow(

@@ -22,7 +22,7 @@ from .backward import (
     picard_solve,
     solve_penalized,
 )
-from .model import Exponents, MarkSpace, ProblemSpec, driver_uses_zu
+from .model import Exponents, MarkSpace, ProblemSpec, _rescale_data, driver_uses_zu
 from .norms import NormReport, estimate_norms, lenglart_check
 from .reflect import PenalizationSchedule, solve_reflected_penalization
 from .simulate import PathBundle, build_grid, sample_paths
@@ -252,26 +252,7 @@ def scale_problem_data(spec: ProblemSpec, s: float) -> ProblemSpec:
     scaled terminal and obstacle the solution fields scale linearly."""
     if s <= 0.0:
         raise ValueError("scale must be positive")
-    base_driver = spec.driver
-    base_terminal = spec.terminal
-    base_obstacle = spec.obstacle
-    base_left = spec.obstacle_left_limit_T
-    base_varphi = spec.coeffs.varphi
-
-    return replace(
-        spec,
-        driver=lambda t, x, y, z, u: s * np.asarray(
-            base_driver(t, x, np.asarray(y) / s, np.asarray(z) / s, np.asarray(u) / s),
-            dtype=float,
-        ),
-        terminal=lambda x: s * np.asarray(base_terminal(x), dtype=float),
-        obstacle=lambda t, x: s * np.asarray(base_obstacle(t, x), dtype=float),
-        obstacle_left_limit_T=lambda x: s * np.asarray(base_left(x), dtype=float),
-        coeffs=replace(
-            spec.coeffs,
-            varphi=lambda t, x: s * np.asarray(base_varphi(t, x), dtype=float),
-        ),
-    )
+    return _rescale_data(spec, lambda t: s, s)
 
 
 def data_norms(spec: ProblemSpec, bundle: PathBundle) -> float:

@@ -27,19 +27,21 @@ class TestCondexpRegression:
         assert fitted == pytest.approx(np.full(200, 5.0), abs=1e-9)
 
     def test_ols_consistency_quadratic(self):
-        # oracle: OLS coefficient covariance sigma^2 (X'X)^{-1}
+        # oracle: OLS coefficient covariance sigma^2 (X'X)^{-1} in the
+        # standardized coordinate s = (x - lo) / span, where x^2 has the
+        # s^2 coefficient span^2
         rng = np.random.default_rng(2)
         n = 10000
         states = rng.uniform(-1.0, 1.0, n)
         noise = rng.standard_normal(n)
         targets = states**2 + noise
-        basis = rb.RegressionBasis(degree=2, standardize=False)
-        coeffs, fitted = rb.condexp_regression(targets, states, basis)
-        design = np.vander(states, 3, increasing=True)
+        coeffs, fitted = rb.condexp_regression(targets, states, rb.RegressionBasis(degree=2))
+        lo, span = states.min(), states.max() - states.min()
+        design = np.vander((states - lo) / span, 3, increasing=True)
         resid = targets - fitted
         sigma2 = float(resid @ resid) / (n - 3)
         cov = sigma2 * np.linalg.inv(design.T @ design)
-        assert abs(coeffs[2] - 1.0) < 4.0 * math.sqrt(cov[2, 2])
+        assert abs(coeffs[2] - span**2) < 4.0 * math.sqrt(cov[2, 2])
 
     def test_degenerate_states_collapse_to_mean(self):
         states = np.full(50, 1.25)

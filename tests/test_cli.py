@@ -152,6 +152,26 @@ class TestRunModes:
         assert (out / "norms.csv").exists()
         assert not (out / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["reflected", "oracle", "penalized", "norms"])
+    def test_overflowing_weights_exit_1_without_csv(self, tmp_path, capsys, mode):
+        # q = 21 makes e^{beta A} overflow float64 on american_put with rate 2
+        f = tmp_path / "overflow.ini"
+        f.write_text(
+            CONFIG.replace("name = flat_obstacle", "name = american_put\nrate = 2.0")
+            .replace("steps = 200", "steps = 20")
+            .replace("paths = 8", "paths = 2000")
+            .replace("degree = 0", "degree = 3")
+            .replace("p = 1.5", "p = 1.05")
+            .replace("eps = 0.5", "eps = 0.01")
+        )
+        out = tmp_path / mode
+        with np.errstate(all="ignore"):
+            code = cli.run(f, out_dir=out, mode_override=mode)
+        assert code == cli.EXIT_SUITE_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "beta*A_T" in err[0]
+        assert not list(out.glob("*.csv"))
+
     def test_seed_override_changes_echo(self, config_file, tmp_path):
         out = tmp_path / "seeded"
         cli.run(config_file, out_dir=out, seed=99)
@@ -196,12 +216,6 @@ class TestMainEntry:
         assert code == cli.EXIT_OK
         assert (out / "properties.csv").exists()
         assert "FAIL" not in (out / "summary.txt").read_text()
-
-    def test_bench_subcommand(self, config_file, tmp_path):
-        out = tmp_path / "bench_out"
-        code = cli.main(["bench", "--config", str(config_file), "--out", str(out)])
-        assert code == cli.EXIT_OK
-        assert (out / "bench.csv").exists()
 
     def test_env_default_outdir(self, config_file, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))

@@ -159,6 +159,27 @@ class TestProblemSpecValidation:
         rep = rb.validate_assumptions(bad, probe_budget=64)
         assert not rep.check("obstacle_below_terminal").passed
 
+    @pytest.mark.parametrize(
+        "name, edit, margin",
+        [
+            # |5 - y| - (1 + |y|) peaks at 4 (linear_y has varphi = phi = 1)
+            ("growth", lambda s: replace(s, driver=lambda t, x, y, z, u: 5.0 - np.asarray(y)), 4.0),
+            # 1 - varphi_min
+            ("growth", lambda s: replace(s, coeffs=replace(s.coeffs, varphi=lambda t, x: 0.5)), 0.5),
+            # eps - a^2 with a^2 = 1
+            ("rate_floor", lambda s: replace(s, exponents=rb.Exponents.from_p(1.5, eps=2.0)), 1.0),
+            ("y_continuity_probe",
+             lambda s: replace(s, driver=lambda t, x, y, z, u: np.sin(1e7 * np.asarray(y))), None),
+        ],
+        ids=["growth", "varphi_below_one", "rate_floor", "y_continuity"],
+    )
+    def test_failure_witnessed(self, name, edit, margin):
+        chk = rb.validate_assumptions(edit(rb.build_problem("linear_y")), probe_budget=64).check(name)
+        assert not chk.passed
+        assert chk.witness is not None
+        if margin is not None:
+            assert chk.worst_margin == pytest.approx(margin, abs=1e-9)
+
     def test_deterministic_under_seed(self):
         spec = rb.build_problem("american_put")
         a = rb.validate_assumptions(spec, probe_budget=64, seed=9)

@@ -145,6 +145,20 @@ class TestScaleProblemData:
         assert np.max(np.abs(sol2.k_cum - s * sol1.k_cum)) < 1e-10
 
 
+    # s = 1 must be the identity; a power of two commutes with rounding, so
+    # drivers linear in (y, z, u) scale bit for bit
+    @pytest.mark.parametrize(
+        "name, s", [("american_put_jumps", 1.0), ("linear_z", 2.0), ("linear_gamma", 2.0)]
+    )
+    def test_scaling_is_exact(self, basis3, name, s):
+        spec = rb.build_problem(name)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 20), 2000, seed=5)
+        sol1 = rb.solve_penalized(spec, bundle, basis3, 16.0)
+        sol2 = rb.solve_penalized(rb.scale_problem_data(spec, s), bundle, basis3, 16.0)
+        for field in ("y", "z", "u", "gamma", "k_cum", "k_jump_T"):
+            np.testing.assert_array_equal(getattr(sol2, field), s * getattr(sol1, field))
+
+
 class TestJumpEstimatorCrosscheck:
     def test_gamma_driver_agreement(self):
         spec = rb.build_problem("linear_gamma")
