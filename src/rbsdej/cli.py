@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import io
+import math
 import os
 import platform
 import sys
@@ -27,12 +29,12 @@ import numpy as np
 
 from . import __version__
 from .backward import RegressionBasis, SolverError, solve_penalized
-from .norms import estimate_norms, write_norms_csv
+from .model import AssumptionError
+from .norms import estimate_norms, write_record_csv
 from .reflect import (
     PenalizationSchedule,
-    PenaltyLevelRow,
+    _level_row,
     _require_finite,
-    penalty_error,
     skorokhod_report,
     solve_reflected_dp_oracle,
     solve_reflected_penalization,
@@ -66,6 +68,33 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
+def _positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+# One row per config field: attribute, INI section.key, parser, default
+# (None: required), range check and the message of a failed check.
+_FIELDS = (
+    ("problem", "problem.name", str, None, lambda v: v in PROBLEMS,
+     f"must be one of {', '.join(sorted(PROBLEMS))}"),
+    ("horizon", "grid.horizon", float, None, _positive, "must be positive and finite"),
+    ("n_steps", "grid.steps", int, None, lambda v: v >= 1, "must be at least 1"),
+    ("n_paths", "mc.paths", int, None, lambda v: v >= 1, "must be at least 1"),
+    ("seed", "mc.seed", int, None, lambda v: 0 <= v < 2**64,
+     "must fit in an unsigned 64-bit integer"),
+    ("degree", "basis.degree", int, None, lambda v: v >= 0, "must be nonnegative"),
+    ("p", "exponents.p", float, None, lambda v: 1.0 < v < 2.0, "must lie strictly inside (1, 2)"),
+    ("beta", "exponents.beta", lambda raw: None if raw == "auto" else float(raw), "auto",
+     lambda v: v is None or 0.0 <= v < math.inf, "must be nonnegative and finite (or 'auto')"),
+    ("eps", "exponents.eps", float, None, _positive, "must be positive and finite"),
+    ("n0", "schedule.n0", float, None, _positive, "must be positive and finite"),
+    ("levels", "schedule.levels", int, None, lambda v: v >= 1, "must be at least 1"),
+    ("stop_tol", "schedule.stop_tol", float, None, _positive, "must be positive and finite"),
+    ("mode", "run.mode", str, None, lambda v: v in MODES, f"must be one of {', '.join(MODES)}"),
+    ("threads", "run.threads", int, "1", lambda v: v >= 1, "must be at least 1"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
@@ -86,34 +115,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Range checks; they hold for INI values and command-line overrides alike."""
-        if self.problem not in PROBLEMS:
-            raise ConfigError("problem.name", f"unknown problem {self.problem!r}")
-        if not (self.horizon > 0.0):
-            raise ConfigError("grid.horizon", "must be positive")
-        if self.n_steps < 1:
-            raise ConfigError("grid.steps", "must be at least 1")
-        if self.n_paths < 1:
-            raise ConfigError("mc.paths", "must be at least 1")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError("mc.seed", "must fit in an unsigned 64-bit integer")
-        if self.degree < 0:
-            raise ConfigError("basis.degree", "must be nonnegative")
-        if not (1.0 < self.p < 2.0):
-            raise ConfigError("exponents.p", f"must lie strictly inside (1, 2), got {self.p}")
-        if self.beta is not None and not (self.beta >= 0.0):
-            raise ConfigError("exponents.beta", "must be nonnegative (or 'auto')")
-        if not (self.eps > 0.0):
-            raise ConfigError("exponents.eps", "must be positive")
-        if not (self.n0 > 0.0):
-            raise ConfigError("schedule.n0", "must be positive")
-        if self.levels < 1:
-            raise ConfigError("schedule.levels", "must be at least 1")
-        if not (self.stop_tol > 0.0):
-            raise ConfigError("schedule.stop_tol", "must be positive")
-        if self.mode not in MODES:
-            raise ConfigError("run.mode", f"must be one of {MODES}")
-        if self.threads < 1:
-            raise ConfigError("run.threads", "must be at least 1")
+        for attr, key, _, _, ok, message in _FIELDS:
+            value = getattr(self, attr)
+            if not ok(value):
+                raise ConfigError(key, f"{message}, got {value!r}")
+        known = inspect.signature(PROBLEMS[self.problem]).parameters
+        for key, value in self.problem_params:
+            if key not in known or not math.isfinite(value):
+                raise ConfigError(f"problem.{key}",
+                                  f"must be a finite parameter of {self.problem}, got {value!r}")
+        if self.levels > 1024 or not math.isfinite(self.n0 * 2.0 ** (self.levels - 1)):
+            raise ConfigError("schedule.levels", f"n0 * 2^(levels-1) overflows, got {self.levels!r}")
 
     def schedule(self) -> PenalizationSchedule:
         return PenalizationSchedule.geometric(self.n0, self.levels, self.stop_tol)
@@ -126,77 +138,44 @@ class ExperimentConfig:
         return build_problem(self.problem, **params)
 
 
-def _get(cfg: configparser.ConfigParser, section: str, key: str, cast, default=None):
-    if cfg.has_option(section, key):
-        raw = cfg.get(section, key)
-    elif default is not None:
-        raw = default
-    else:
-        raise ConfigError(f"{section}.{key}", "missing required key")
+def _get(cfg: configparser.ConfigParser, key: str, parse, default=None):
+    section, _, option = key.partition(".")
+    raw = cfg.get(section, option, fallback=default)
+    if raw is None:
+        raise ConfigError(key, "missing required key")
     try:
-        return cast(raw)
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}: {exc}") from exc
-
-
-def _beta_value(raw: str) -> float | None:
-    return None if raw == "auto" else float(raw)
+        raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from exc
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
     cfg = configparser.ConfigParser()
-    read = cfg.read(path)
-    if not read:
+    if not cfg.read(path):
         raise ConfigError("config", f"cannot read {path!r}")
-    for section in ("problem", "grid", "mc", "basis", "exponents", "schedule", "run"):
+    for section in dict.fromkeys(key.partition(".")[0] for _, key, *_ in _FIELDS):
         if not cfg.has_section(section):
             raise ConfigError(section, "missing section")
-
     params = tuple(
-        (k, _get(cfg, "problem", k, float))
-        for k in sorted(cfg.options("problem"))
-        if k != "name"
+        (k, _get(cfg, f"problem.{k}", float)) for k in sorted(cfg.options("problem")) if k != "name"
     )
     return ExperimentConfig(
-        problem=_get(cfg, "problem", "name", str),
         problem_params=params,
-        horizon=_get(cfg, "grid", "horizon", float),
-        n_steps=_get(cfg, "grid", "steps", int),
-        n_paths=_get(cfg, "mc", "paths", int),
-        seed=_get(cfg, "mc", "seed", int),
-        degree=_get(cfg, "basis", "degree", int),
-        p=_get(cfg, "exponents", "p", float),
-        beta=_get(cfg, "exponents", "beta", _beta_value, default="auto"),
-        eps=_get(cfg, "exponents", "eps", float),
-        n0=_get(cfg, "schedule", "n0", float),
-        levels=_get(cfg, "schedule", "levels", int),
-        stop_tol=_get(cfg, "schedule", "stop_tol", float),
-        mode=_get(cfg, "run", "mode", str),
-        threads=_get(cfg, "run", "threads", int, default="1"),
+        **{attr: _get(cfg, key, parse, default) for attr, key, parse, default, *_ in _FIELDS},
     )
 
 
 def dump_config(config: ExperimentConfig, fh) -> None:
     """Serialize a config so that parse_config reads back an equal value."""
+    sections: dict[str, dict[str, str]] = {}
+    for attr, key, *_ in _FIELDS:
+        section, _, option = key.partition(".")
+        value = getattr(config, attr)
+        sections.setdefault(section, {})[option] = "auto" if value is None else str(value)
+    sections["problem"].update((k, str(v)) for k, v in config.problem_params)
     cfg = configparser.ConfigParser()
-    cfg["problem"] = {"name": config.problem}
-    for k, v in config.problem_params:
-        cfg["problem"][k] = repr(v)
-    cfg["grid"] = {"horizon": repr(config.horizon), "steps": str(config.n_steps)}
-    cfg["mc"] = {"paths": str(config.n_paths), "seed": str(config.seed)}
-    cfg["basis"] = {"degree": str(config.degree)}
-    cfg["exponents"] = {
-        "p": repr(config.p),
-        "beta": "auto" if config.beta is None else repr(config.beta),
-        "eps": repr(config.eps),
-    }
-    cfg["schedule"] = {
-        "n0": repr(config.n0),
-        "levels": str(config.levels),
-        "stop_tol": repr(config.stop_tol),
-    }
-    cfg["run"] = {"mode": config.mode, "threads": str(config.threads)}
+    cfg.read_dict(sections)
     cfg.write(fh)
 
 
@@ -224,18 +203,6 @@ def _write_solution_csv(sol, fh) -> None:
         repr(sol.run.y0_stderr),
         repr(float(np.mean(sol.k_T()))),
         repr(float(np.mean(sol.k_jump_T))),
-    ])
-
-
-def _write_skorokhod_csv(rep, fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow([
-        "flat_integral", "jump_condition_residual",
-        "complementarity_violation_fraction", "terminal_jump_mass",
-    ])
-    w.writerow([
-        repr(rep.flat_integral), repr(rep.jump_condition_residual),
-        repr(rep.complementarity_violation_fraction), repr(rep.terminal_jump_mass),
     ])
 
 
@@ -297,44 +264,51 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
     return all(r.passed for r in results)
 
 
+def _simulate(config: ExperimentConfig, timings: list) -> tuple:
+    """Build the problem and simulate its bundle. Raises ConfigError when
+    the problem's factory rejects a parameter or a^2 falls below eps."""
+    try:
+        spec = config.build()
+    except ValueError as exc:
+        raise ConfigError("problem", str(exc)) from exc
+    t = time.perf_counter()
+    try:
+        bundle = sample_paths(spec, build_grid(config.horizon, config.n_steps), config.n_paths,
+                              config.seed, n_threads=config.threads)
+    except AssumptionError as exc:
+        raise ConfigError("exponents.eps", str(exc)) from exc
+    timings.append(("simulate", time.perf_counter() - t))
+    return spec, bundle
+
+
 def _solve(config: ExperimentConfig, spec, bundle, timings: list) -> tuple:
-    """Run the configured solver mode and its norm report. Returns the
-    solution and the (file name, writer, value) tables to write; raises
-    SolverError, before anything is written, on a non-finite result."""
+    """Run the configured solver mode, its diagnostics and its norm report.
+    Returns the solution and the (file name, writer, value) tables to
+    write; raises SolverError, before anything is written, on a non-finite
+    result."""
     basis = RegressionBasis(degree=config.degree)
     t = time.perf_counter()
     tables = []
     if config.mode == "reflected":
         res = solve_reflected_penalization(spec, bundle, basis, config.schedule())
-        timings.append(("solve", time.perf_counter() - t))
         sol = res.solution
         tables += [("convergence.csv", write_convergence_csv, res.table),
-                   ("skorokhod.csv", _write_skorokhod_csv, res.skorokhod)]
+                   ("skorokhod.csv", write_record_csv, res.skorokhod)]
     elif config.mode == "oracle":
         sol = solve_reflected_dp_oracle(spec, bundle, basis)
-        timings.append(("solve", time.perf_counter() - t))
-        tables.append(("skorokhod.csv", _write_skorokhod_csv, skorokhod_report(sol, spec, bundle)))
+        tables.append(("skorokhod.csv", write_record_csv, skorokhod_report(sol, spec, bundle)))
     else:  # penalized / norms: single solve at the schedule's first level
         sol = solve_penalized(spec, bundle, basis, config.n0)
-        timings.append(("solve", time.perf_counter() - t))
-    if config.mode == "penalized":
-        err, err_se = penalty_error(sol, bundle, spec)
-        _require_finite({"penalty error": err}, f"at level n={config.n0!r}", spec, bundle)
-        row = PenaltyLevelRow(
-            n=config.n0,
-            penalty_error=err, penalty_error_se=err_se,
-            y0_mean=sol.y0_mean(), y0_stderr=sol.run.y0_stderr,
-            k_T_mean=float(np.mean(sol.k_T())),
-            flat_integral=skorokhod_report(sol, spec, bundle).flat_integral,
-            wall_time=timings[-1][1],
-        )
-        tables.append(("convergence.csv", write_convergence_csv, [row]))
+        if config.mode == "penalized":
+            row = _level_row(sol, spec, bundle, config.n0, t)
+            tables.append(("convergence.csv", write_convergence_csv, [row]))
+    timings.append(("solve", time.perf_counter() - t))
 
     t = time.perf_counter()
     report = estimate_norms(sol, bundle, spec.exponents)
     timings.append(("norms", time.perf_counter() - t))
     _require_finite(report.values(), "in the norm report", spec, bundle)
-    tables += [("norms.csv", write_norms_csv, report), ("solution.csv", _write_solution_csv, sol)]
+    tables += [("norms.csv", write_record_csv, report), ("solution.csv", _write_solution_csv, sol)]
     return sol, tables
 
 
@@ -345,52 +319,44 @@ def run(
     threads: int | None = None,
     mode_override: str | None = None,
 ) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code. A config
+    error writes nothing; a solver error writes config.ini and a manifest
+    with an ``error`` line, but no CSV."""
+    t0 = time.perf_counter()
+    timings: list[tuple[str, float]] = []
     overrides = {"seed": seed, "threads": threads, "mode": mode_override}
     try:
         config = replace(
             parse_config(config_path),
             **{k: v for k, v in overrides.items() if v is not None},
         )
+        if config.mode != "verify-all":
+            spec, bundle = _simulate(config, timings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    base = Path(out_dir) if out_dir is not None else Path(
-        os.environ.get(OUT_DIR_ENV, "results")
-    )
-    out = Path(base)
+    out = Path(out_dir) if out_dir is not None else Path(os.environ.get(OUT_DIR_ENV, "results"))
     out.mkdir(parents=True, exist_ok=True)
-
     with open(out / "config.ini", "w") as fh:
         dump_config(config, fh)
 
-    t0 = time.perf_counter()
-    timings: list[tuple[str, float]] = []
-    ok = True
-
+    error = None
     if config.mode == "verify-all":
         ok = _verify_all(config, out)
     else:
         try:
-            spec = config.build()
-        except (KeyError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        grid = build_grid(config.horizon, config.n_steps)
-        t = time.perf_counter()
-        bundle = sample_paths(spec, grid, config.n_paths, config.seed, n_threads=config.threads)
-        timings.append(("simulate", time.perf_counter() - t))
-        try:
             sol, tables = _solve(config, spec, bundle, timings)
         except SolverError as exc:
+            error = str(exc)
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SUITE_FAILURE
-        for name, write, value in tables:
-            with open(out / name, "w", newline="") as fh:
-                write(value, fh)
-        for w in sol.run.warnings:
-            print(f"warning: {w}", file=sys.stderr)
+        else:
+            for name, write, value in tables:
+                with open(out / name, "w", newline="") as fh:
+                    write(value, fh)
+            for w in sol.run.warnings:
+                print(f"warning: {w}", file=sys.stderr)
+        ok = error is None
 
     total = time.perf_counter() - t0
     manifest = [
@@ -403,6 +369,8 @@ def run(
         f"total_seconds {total:.3f}",
     ]
     manifest += [f"timing {name} {secs:.3f}" for name, secs in timings]
+    if error is not None:
+        manifest.append(f"error {error}")
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
     return EXIT_OK if ok else EXIT_SUITE_FAILURE
 

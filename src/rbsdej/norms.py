@@ -19,16 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover
 Array = np.ndarray
 
 
-NORM_CSV_COLUMNS = [
-    "s_p_beta", "s_p_beta_se",
-    "s_pA_beta", "s_pA_beta_se",
-    "h_p_beta", "h_p_beta_se",
-    "l_p_lambda_beta", "l_p_lambda_beta_se",
-    "l_p_mu_beta", "l_p_mu_beta_se",
-    "k_p", "k_p_se",
-]
-
-
 @dataclass(frozen=True)
 class NormReport:
     """Monte Carlo estimates of the six weighted norms, p-th powers.
@@ -40,6 +30,8 @@ class NormReport:
     l_p_mu_beta      same with the realized jump measure in place of
                      its compensator
     k_p              E[|K_T|^p]
+
+    The field order is the norms.csv column order.
     """
 
     s_p_beta: float
@@ -58,14 +50,14 @@ class NormReport:
     def values(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def csv_row(self) -> list[float]:
-        return [getattr(self, c) for c in NORM_CSV_COLUMNS]
 
-
-def write_norms_csv(report: NormReport, fh) -> None:
+def write_record_csv(record, fh) -> None:
+    """A dataclass record as CSV: a header of its field names and one row
+    of their reprs."""
+    names = [f.name for f in fields(record)]
     w = csv.writer(fh, lineterminator="\n")
-    w.writerow(NORM_CSV_COLUMNS)
-    w.writerow([repr(v) for v in report.csv_row()])
+    w.writerow(names)
+    w.writerow([repr(getattr(record, n)) for n in names])
 
 
 def _mc(per_path: Array) -> tuple[float, float]:

@@ -72,6 +72,7 @@ class SkorokhodReport:
     complementarity_violation_fraction: fraction of (path, node) with a
     K-increment and simultaneous positive clearance above the obstacle.
     terminal_jump_mass: MC mean of k_jump_T.
+    The field order is the skorokhod.csv column order.
     """
 
     flat_integral: float
@@ -124,6 +125,22 @@ def _require_finite(
             f"{', '.join(bad)} {where}; largest beta*A_T = {beta_A!r} "
             "(a weight e^(c beta A) overflows float64 above c beta A = 709)"
         )
+
+
+def _level_row(
+    sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle, n: float, t0: float
+) -> PenaltyLevelRow:
+    """Convergence row of a solve at level n that started at perf_counter
+    ``t0``; raises SolverError when the penalty error is not finite."""
+    err, err_se = penalty_error(sol, bundle, spec)
+    _require_finite({"penalty error": err}, f"at level n={n!r}", spec, bundle)
+    return PenaltyLevelRow(
+        n=float(n), penalty_error=err, penalty_error_se=err_se,
+        y0_mean=sol.y0_mean(), y0_stderr=sol.run.y0_stderr,
+        k_T_mean=float(np.mean(sol.k_T())),
+        flat_integral=skorokhod_report(sol, spec, bundle).flat_integral,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:
@@ -220,22 +237,8 @@ def solve_reflected_penalization(
     for n in schedule.n_values:
         t0 = time.perf_counter()
         sol = picard_solve(spec, bundle, basis, n, tol=picard_tol, max_iter=picard_max_iter)
-        err, err_se = penalty_error(sol, bundle, spec)
-        _require_finite({"penalty error": err}, f"at level n={n!r}", spec, bundle)
-        rep = skorokhod_report(sol, spec, bundle)
-        rows.append(
-            PenaltyLevelRow(
-                n=float(n),
-                penalty_error=err,
-                penalty_error_se=err_se,
-                y0_mean=sol.y0_mean(),
-                y0_stderr=sol.run.y0_stderr,
-                k_T_mean=float(np.mean(sol.k_T())),
-                flat_integral=rep.flat_integral,
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-        if err < schedule.stop_tol:
+        rows.append(_level_row(sol, spec, bundle, n, t0))
+        if rows[-1].penalty_error < schedule.stop_tol:
             reached = True
             break
     assert sol is not None

@@ -184,7 +184,7 @@ def sample_paths(
         p0, i0 = (int(v) for v in np.argwhere(viol)[0])
         raise AssumptionError(
             f"a^2 >= eps violated on path {p0} at node {i0}: "
-            f"a^2={a2[p0, i0]!r} < eps={eps!r}"
+            f"a^2={float(a2[p0, i0])!r} < eps={eps!r}"
         )
     zeta2 = a2 ** (q / 2.0)
     A = cumulative_A(grid, zeta2[:, :-1])

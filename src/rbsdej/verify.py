@@ -10,7 +10,9 @@ is reproducible.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +50,32 @@ class PropertyResult:
             raise ValueError("failures cannot exceed trials")
         if (self.failures > 0) != (len(self.witnesses) > 0):
             raise ValueError("witnesses must be nonempty exactly when failures > 0")
+
+
+@dataclass
+class _Tally:
+    """Running trials, failures and worst margin of one suite; keeps the
+    first MAX_WITNESSES witnesses."""
+
+    trials: int = 0
+    failures: int = 0
+    worst: float = -np.inf
+    witnesses: list = field(default_factory=list)
+
+    def add(self, trials: int, failures: int, margin: float = -np.inf, witnesses=()) -> None:
+        self.trials += trials
+        self.failures += failures
+        if margin > self.worst or math.isnan(margin):  # a NaN margin sticks
+            self.worst = margin
+        self.witnesses += islice(witnesses, max(MAX_WITNESSES - len(self.witnesses), 0))
+
+    def result(self, name: str, passed: bool | None = None, detail: str = "") -> PropertyResult:
+        """The suite's result; it passes without failures unless ``passed`` says otherwise."""
+        return PropertyResult(
+            name=name, trials=self.trials, failures=self.failures, worst_margin=self.worst,
+            witnesses=tuple(self.witnesses),
+            passed=self.failures == 0 if passed is None else passed, detail=detail,
+        )
 
 
 def summary_text(results: Sequence[PropertyResult]) -> str:
@@ -108,30 +136,15 @@ def jump_inequality_suite(
 ) -> PropertyResult:
     """Uniform random sweep of the jump inequality over [-box, box]^2."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x11]))
-    failures = 0
-    worst = -np.inf
-    witnesses: list[tuple] = []
-    trials = 0
+    tally = _Tally()
     for p in p_values:
         y = rng.uniform(-box, box, n_samples)
         u = rng.uniform(-box, box, n_samples)
         lhs, rhs, ok = check_jump_inequality(y, u, p)
-        trials += n_samples
-        bad = ~ok
-        failures += int(np.sum(bad))
-        margin = rhs - lhs
-        worst = max(worst, float(np.max(margin)))
-        if bad.any() and len(witnesses) < MAX_WITNESSES:
-            for idx in np.where(bad)[0][: MAX_WITNESSES - len(witnesses)]:
-                witnesses.append((float(y[idx]), float(u[idx]), float(p)))
-    return PropertyResult(
-        name="jump_inequality",
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        witnesses=tuple(witnesses),
-        passed=failures == 0,
-    )
+        bad = np.flatnonzero(~ok)
+        tally.add(n_samples, bad.size, float(np.max(rhs - lhs)),
+                  ((float(y[i]), float(u[i]), float(p)) for i in bad))
+    return tally.result("jump_inequality")
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +168,7 @@ def comparison_suite(
     """
     if driver_uses_zu(spec):
         raise ValueError("comparison_suite requires a driver independent of (z, u)")
-    failures = 0
-    trials = 0
-    worst = -np.inf
-    witnesses: list[tuple] = []
+    tally = _Tally()
     n_paths = bundle.n_paths
     for n_lo, n_hi in n_pairs:
         if not n_lo < n_hi:
@@ -168,20 +178,13 @@ def comparison_suite(
         diff = lo.y - hi.y  # positive entries violate monotonicity
         se = np.std(diff, axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros(diff.shape[1])
         tol = np.maximum(3.0 * se[None, :], 1e-10 * (1.0 + np.abs(hi.y)))
-        bad = diff > tol
-        trials += diff.size
-        failures += int(np.sum(bad))
-        worst = max(worst, float(np.max(diff - tol)))
-        if bad.any() and len(witnesses) < MAX_WITNESSES:
-            for pi, ni in np.argwhere(bad)[: MAX_WITNESSES - len(witnesses)]:
-                witnesses.append((float(n_lo), float(n_hi), int(pi), int(ni), float(diff[pi, ni])))
-    fraction = failures / trials if trials else 0.0
-    return PropertyResult(
-        name="comparison_monotonicity",
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        witnesses=tuple(witnesses),
+        bad = np.argwhere(diff > tol)
+        tally.add(diff.size, len(bad), float(np.max(diff - tol)), (
+            (float(n_lo), float(n_hi), int(pi), int(ni), float(diff[pi, ni])) for pi, ni in bad
+        ))
+    fraction = tally.failures / tally.trials if tally.trials else 0.0
+    return tally.result(
+        "comparison_monotonicity",
         passed=fraction <= max_violation_fraction,
         detail=f"violation fraction {fraction:.2e} (gate {max_violation_fraction:.0e})",
     )
@@ -208,36 +211,23 @@ def penalty_decay_suite(
     )
     errs = np.array([r.penalty_error for r in run.table])
     ses = np.array([r.penalty_error_se for r in run.table])
-    failures = 0
-    worst = -np.inf
-    witnesses: list[tuple] = []
+    tally = _Tally()
     for k in range(len(errs) - 1):
         joint = float(np.hypot(ses[k], ses[k + 1]))
         margin = float(errs[k + 1] - errs[k] - 2.0 * joint)
-        worst = max(worst, margin)
-        if margin > 0.0:
-            failures += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append((float(run.table[k].n), float(errs[k]), float(errs[k + 1])))
+        bad = margin > 0.0
+        tally.add(1, int(bad), margin,
+                  [(float(run.table[k].n), float(errs[k]), float(errs[k + 1]))] if bad else [])
     first, last = float(errs[0]), float(errs[-1])
-    ok = failures == 0 and (last < first or first == 0.0)
+    ok = tally.failures == 0 and (last < first or first == 0.0)
     detail = f"first={first:.3e} last={last:.3e}"
     if final_over_first_gate is not None and first > 0.0:
         ratio = last / first
         detail += f" ratio={ratio:.3e}"
         ok = ok and ratio <= final_over_first_gate
-    if not ok and not witnesses:
-        witnesses.append((first, last))
-        failures = max(failures, 1)
-    return PropertyResult(
-        name="penalty_decay",
-        trials=len(errs) - 1,
-        failures=failures,
-        worst_margin=worst,
-        witnesses=tuple(witnesses),
-        passed=ok,
-        detail=detail,
-    )
+    if not ok and not tally.witnesses:  # a failed decay gate witnesses (first, last)
+        tally.add(0, 1, witnesses=[(first, last)])
+    return tally.result("penalty_decay", detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +284,13 @@ def apriori_suite(
     linear drivers); (iii) the solution-to-data norm ratio is stable
     under grid refinement N -> 2N (within a factor gate)."""
     e = spec.exponents
-    failures = 0
-    worst = -np.inf
-    witnesses: list[tuple] = []
-    trials = 0
+    tally = _Tally()
 
     base_sol = solve_penalized(spec, bundle, basis, n_penalty)
     base_rep = _report_fields(estimate_norms(base_sol, bundle, e))
-    trials += base_rep.size
-    if not np.all(np.isfinite(base_rep)):
-        failures += 1
-        witnesses.append(("nonfinite", tuple(base_rep)))
+    finite = bool(np.all(np.isfinite(base_rep)))
+    tally.add(base_rep.size, int(not finite),
+              witnesses=[] if finite else [("nonfinite", tuple(base_rep))])
 
     for s in scales:
         if s == 1.0:
@@ -316,14 +302,10 @@ def apriori_suite(
         denom = np.maximum(np.abs(expected), 1e-30)
         rel = np.abs(rep_s - expected) / denom
         active = expected > 1e-30
-        trials += int(np.sum(active))
-        margin = float(np.max(np.where(active, rel - scaling_rtol, -np.inf)))
-        worst = max(worst, margin)
         bad = active & (rel > scaling_rtol)
-        if bad.any():
-            failures += int(np.sum(bad))
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append((f"scale {s}", tuple(np.where(bad)[0].tolist())))
+        tally.add(int(np.sum(active)), int(np.sum(bad)),
+                  float(np.max(np.where(active, rel - scaling_rtol, -np.inf))),
+                  [(f"scale {s}", tuple(np.where(bad)[0].tolist()))] if bad.any() else [])
 
     # refinement stability of the bound's shape
     N = bundle.grid.n_steps
@@ -335,25 +317,16 @@ def apriori_suite(
     lhs_fine = float(np.sum(fine_rep))
     ratio_coarse = lhs_coarse / max(data_norms(spec, bundle), 1e-300)
     ratio_fine = lhs_fine / max(data_norms(spec, fine_bundle), 1e-300)
-    trials += 1
     if ratio_coarse > 0.0 and ratio_fine > 0.0:
         factor = max(ratio_coarse / ratio_fine, ratio_fine / ratio_coarse)
-        worst = max(worst, factor - refinement_factor_gate)
-        if factor > refinement_factor_gate:
-            failures += 1
-            witnesses.append(("refinement", ratio_coarse, ratio_fine))
-    elif (ratio_coarse > 0.0) != (ratio_fine > 0.0):
-        failures += 1
-        witnesses.append(("refinement_degenerate", ratio_coarse, ratio_fine))
-
-    return PropertyResult(
-        name="apriori_scaling",
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        witnesses=tuple(witnesses),
-        passed=failures == 0,
-    )
+        bad = factor > refinement_factor_gate
+        tally.add(1, int(bad), factor - refinement_factor_gate,
+                  [("refinement", ratio_coarse, ratio_fine)] if bad else [])
+    else:
+        bad = (ratio_coarse > 0.0) != (ratio_fine > 0.0)
+        tally.add(1, int(bad),
+                  witnesses=[("refinement_degenerate", ratio_coarse, ratio_fine)] if bad else [])
+    return tally.result("apriori_scaling")
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +355,7 @@ def contraction_suite(
         if b <= threshold:
             raise ValueError(f"beta={b!r} does not exceed the threshold {threshold!r}")
     table = []
-    worst = -np.inf
-    failures = 0
-    witnesses: list[tuple] = []
-    trials = 0
+    tally = _Tally()
     for b in sorted(beta_values):
         spec_b = replace(spec, exponents=e.with_beta(b))
         sol = picard_solve(spec_b, bundle, basis, n_penalty, tol=tol, max_iter=max_iter)
@@ -394,24 +364,13 @@ def contraction_suite(
         meaningful = res[:-1] > 10.0 * tol
         ratios = ratios[meaningful]
         table.append((b, tuple(round(float(r), 4) for r in ratios)))
-        if b == max(beta_values):
-            trials = max(len(ratios), 1)
-            if len(ratios):
-                worst = float(np.max(ratios) - 1.0)
-                bad = ratios >= 1.0
-                failures = int(np.sum(bad))
-                if failures:
-                    witnesses.append((b, tuple(float(r) for r in ratios)))
-            else:
-                worst = -1.0  # converged immediately; vacuous pass
-    return PropertyResult(
-        name="picard_contraction",
-        trials=trials,
-        failures=failures,
-        worst_margin=worst,
-        witnesses=tuple(witnesses),
-        passed=failures == 0,
-        detail="; ".join(f"beta={b:g}: ratios={r}" for b, r in table),
+        if b == max(beta_values):  # no meaningful ratio: converged at once, a vacuous pass
+            bad = ratios >= 1.0
+            tally.add(max(len(ratios), 1), int(np.sum(bad)),
+                      float(np.max(ratios) - 1.0) if len(ratios) else -1.0,
+                      [(b, tuple(float(r) for r in ratios))] if bad.any() else [])
+    return tally.result(
+        "picard_contraction", detail="; ".join(f"beta={b:g}: ratios={r}" for b, r in table)
     )
 
 
@@ -438,15 +397,9 @@ def jump_estimator_crosscheck(
     gap = abs(a.y0_mean() - b.y0_mean())
     tol = se_gate * max(a.run.y0_stderr, b.run.y0_stderr, 1e-14)
     ok = gap <= tol
-    return PropertyResult(
-        name="jump_estimator_crosscheck",
-        trials=1,
-        failures=0 if ok else 1,
-        worst_margin=gap - tol,
-        witnesses=() if ok else ((a.y0_mean(), b.y0_mean(), tol),),
-        passed=ok,
-        detail=f"|dY0|={gap:.3e} gate={tol:.3e}",
-    )
+    tally = _Tally()
+    tally.add(1, int(not ok), gap - tol, [] if ok else [(a.y0_mean(), b.y0_mean(), tol)])
+    return tally.result("jump_estimator_crosscheck", detail=f"|dY0|={gap:.3e} gate={tol:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +435,7 @@ def lenglart_sweep(
     from .registry import pure_jump_counter
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x13]))
-    failures = 0
-    worst = -np.inf
-    witnesses: list[tuple] = []
+    tally = _Tally()
     for c in range(n_configs):
         m = int(rng.integers(1, 4))
         weights = tuple(float(w) for w in rng.uniform(0.2, 2.0, m))
@@ -508,16 +459,5 @@ def lenglart_sweep(
         )
         sol = make_synthetic_solution(bundle, u, np.asarray(weights))
         lhs, rhs, ok = lenglart_check(sol, bundle, spec.exponents)
-        worst = max(worst, lhs - 2.0 * rhs)
-        if not ok:
-            failures += 1
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append((c, lhs, rhs, p, beta))
-    return PropertyResult(
-        name="lenglart_factor2",
-        trials=n_configs,
-        failures=failures,
-        worst_margin=worst,
-        witnesses=tuple(witnesses),
-        passed=failures == 0,
-    )
+        tally.add(1, int(not ok), lhs - 2.0 * rhs, [] if ok else [(c, lhs, rhs, p, beta)])
+    return tally.result("lenglart_factor2")

@@ -1,3 +1,6 @@
+import configparser
+import io
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,21 @@ stop_tol = 1e-3
 [run]
 mode = reflected
 """
+
+
+def with_value(key: str, raw: str, text: str = CONFIG) -> str:
+    """``text`` with the INI key ``section.key`` set to ``raw``."""
+    cfg = configparser.ConfigParser()
+    cfg.read_string(text)
+    section, _, option = key.partition(".")
+    cfg.set(section, option, raw)
+    buf = io.StringIO()
+    cfg.write(buf)
+    return buf.getvalue()
+
+
+HOSTILE = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1e400", "2000", "1.5"]
+FUZZ_KEYS = [key for _, key, *_ in cli._FIELDS] + ["problem.level"]
 
 
 @pytest.fixture()
@@ -82,8 +100,9 @@ class TestConfigParsing:
             (("beta = auto", "beta = foo"), [], "exponents.beta"),
             (None, ["--seed", "-1"], "mc.seed"),
             (None, ["--threads", "0"], "run.threads"),
+            (("name = flat_obstacle", "name = flat_obstacle\nbogus = 1"), [], "problem.bogus"),
         ],
-        ids=["kappa", "beta", "seed", "threads"],
+        ids=["kappa", "beta", "seed", "threads", "bogus"],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, ini_edit, flags, field):
         f = tmp_path / "bad.ini"
@@ -101,13 +120,32 @@ class TestConfigParsing:
             cli.parse_config(f)
 
     @pytest.mark.parametrize("name", sorted(cli.PROBLEMS))
-    def test_every_registry_problem_buildable_from_config(self, name):
-        import rbsdej as rb
-
-        eps = 0.5 if name in ("flat_obstacle", "linear_y") else 0.01
-        spec = rb.build_problem(name, T=0.5, p=1.4, eps=eps)
+    def test_every_registry_problem_buildable_from_config(self, name, tmp_path):
+        eps = "0.5" if name in ("flat_obstacle", "linear_y") else "0.01"
+        text = CONFIG
+        for key, raw in (("problem.name", name), ("grid.horizon", "0.5"),
+                         ("exponents.p", "1.4"), ("exponents.eps", eps)):
+            text = with_value(key, raw, text)
+        f = tmp_path / "exp.ini"
+        f.write_text(text)
+        spec = cli.parse_config(f).build()
         assert spec.exponents.p == 1.4
         assert spec.horizon == 0.5
+
+    @pytest.mark.parametrize("raw", HOSTILE)
+    @pytest.mark.parametrize("key", FUZZ_KEYS)
+    def test_hostile_value(self, tmp_path, capsys, key, raw):
+        f = tmp_path / "fuzz.ini"
+        f.write_text(with_value(key, raw))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = cli.main(["solve", "--config", str(f), "--out", str(out)])
+        assert code in (cli.EXIT_OK, cli.EXIT_SUITE_FAILURE, cli.EXIT_CONFIG_ERROR)
+        if code == cli.EXIT_CONFIG_ERROR:
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:"), err
+            assert key in err[0]
+            assert not out.exists() or not any(out.iterdir())
 
 
 class TestRunModes:
@@ -171,6 +209,9 @@ class TestRunModes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "beta*A_T" in err[0]
         assert not list(out.glob("*.csv"))
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"error {err[0][len('error: '):]}" in manifest
+        assert any(line.startswith("timing simulate ") for line in manifest)
 
     def test_seed_override_changes_echo(self, config_file, tmp_path):
         out = tmp_path / "seeded"

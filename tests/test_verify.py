@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbsdej as rb
-from rbsdej.verify import PropertyResult, summary_text, write_properties_csv
+from rbsdej.verify import MAX_WITNESSES, PropertyResult, summary_text, write_properties_csv
 
 
 class TestJumpInequality:
@@ -200,6 +200,33 @@ class TestContractionSuite:
         low = 2.0 * (p - 1.0) / p  # not strictly above the threshold
         with pytest.raises(ValueError, match="threshold"):
             rb.contraction_suite(flat_spec, flat_bundle_coarse, basis0, beta_values=(low,))
+
+
+class TestFailingBranches:
+    """Each suite driven into failure through its own gate: the tally counts
+    the failures and keeps between one and MAX_WITNESSES witnesses."""
+
+    @pytest.mark.parametrize("case", ["penalty_decay", "apriori", "crosscheck"])
+    def test_failure_witnessed(self, case):
+        if case == "penalty_decay":
+            spec = rb.build_problem("flat_obstacle")
+            bundle = rb.sample_paths(spec, rb.build_grid(1.0, 40), 4, seed=1)
+            res = rb.penalty_decay_suite(
+                spec, bundle, rb.RegressionBasis(degree=0),
+                rb.PenalizationSchedule.geometric(1.0, 6, 1e-3), final_over_first_gate=1e-9,
+            )
+        elif case == "apriori":
+            spec = rb.build_problem("american_put")
+            bundle = rb.sample_paths(spec, rb.build_grid(1.0, 15), 1500, seed=2)
+            res = rb.apriori_suite(spec, bundle, rb.RegressionBasis(degree=3), scaling_rtol=1e-18)
+        else:
+            spec = rb.build_problem("linear_gamma")
+            bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=4)
+            res = rb.jump_estimator_crosscheck(spec, bundle, rb.RegressionBasis(degree=3),
+                                               se_gate=1e-9)
+        assert not res.passed
+        assert res.failures >= 1
+        assert 1 <= len(res.witnesses) <= MAX_WITNESSES
 
 
 class TestPropertyResultPlumbing:
