@@ -50,8 +50,8 @@ class PenalizationSchedule:
             raise ValueError("schedule needs at least one level")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("penalty levels must be strictly increasing")
-        if self.n_values[0] <= 0.0:
-            raise ValueError("penalty levels must be positive")
+        if self.n_values[0] <= 0.0 or not np.isfinite(self.n_values[-1]):
+            raise ValueError("penalty levels must be positive and finite")
 
     @classmethod
     def geometric(cls, n0: float = 1.0, levels: int = 11, stop_tol: float = 1e-3) -> "PenalizationSchedule":

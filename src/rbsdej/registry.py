@@ -4,6 +4,7 @@ this registry; custom problems are added in code.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable
 
@@ -263,6 +264,12 @@ def american_put_jumps(
     return american_put(**kwargs)
 
 
+# The parameters american_put_jumps takes: its own and those it passes on.
+american_put_jumps.__signature__ = inspect.signature(american_put).replace(parameters=[
+    *list(inspect.signature(american_put_jumps).parameters.values())[:2],
+    *(v for k, v in inspect.signature(american_put).parameters.items() if not k.startswith("jump_"))])
+
+
 PROBLEMS: dict[str, Callable[..., ProblemSpec]] = {
     "flat_obstacle": flat_obstacle,
     "american_put": american_put,
@@ -276,12 +283,16 @@ PROBLEMS: dict[str, Callable[..., ProblemSpec]] = {
 
 
 def build_problem(name: str, **params) -> ProblemSpec:
-    """Instantiate a registry problem by name with numeric overrides."""
+    """Instantiate a registry problem by name with numeric overrides. A
+    parameter that the factory does not take raises ``KeyError(parameter)``."""
     if name not in PROBLEMS:
         raise KeyError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}"
         )
     factory = PROBLEMS[name]
+    for key in params:
+        if key not in inspect.signature(factory).parameters:
+            raise KeyError(key)
     try:
         return factory(**params)
     except TypeError as exc:

@@ -101,8 +101,9 @@ class TestConfigParsing:
             (None, ["--seed", "-1"], "mc.seed"),
             (None, ["--threads", "0"], "run.threads"),
             (("name = flat_obstacle", "name = flat_obstacle\nbogus = 1"), [], "problem.bogus"),
+            (("name = flat_obstacle", "name = american_put_jumps\nkwargs = 1"), [], "problem.kwargs"),
         ],
-        ids=["kappa", "beta", "seed", "threads", "bogus"],
+        ids=["kappa", "beta", "seed", "threads", "bogus", "kwargs"],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, ini_edit, flags, field):
         f = tmp_path / "bad.ini"
@@ -131,6 +132,20 @@ class TestConfigParsing:
         spec = cli.parse_config(f).build()
         assert spec.exponents.p == 1.4
         assert spec.horizon == 0.5
+
+    def test_forwarded_problem_params_reach_the_spec(self, tmp_path):
+        # american_put_jumps passes kappa and rate on to american_put
+        text = CONFIG
+        for key, raw in (("problem.name", "american_put_jumps"), ("problem.kappa", "1.2"),
+                         ("problem.rate", "0.2"), ("exponents.eps", "0.01"),
+                         ("grid.steps", "10"), ("mc.paths", "200"), ("run.mode", "penalized")):
+            text = with_value(key, raw, text)
+        f = tmp_path / "exp.ini"
+        f.write_text(text)
+        spec = cli.parse_config(f).build()
+        assert spec.obstacle(0.0, 1.0) == pytest.approx(0.2)
+        assert spec.driver(0.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx(-0.2)
+        assert cli.run(f, out_dir=tmp_path / "out") == cli.EXIT_OK
 
     @pytest.mark.parametrize("raw", HOSTILE)
     @pytest.mark.parametrize("key", FUZZ_KEYS)
