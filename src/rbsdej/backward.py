@@ -47,7 +47,8 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class _FittedPoly:
-    """Fitted conditional-expectation function for one time slice."""
+    """Fitted polynomial of one time slice; the sweep evaluates its
+    continuation at jump-shifted states."""
 
     coeffs: Array
     lo: float
@@ -64,29 +65,45 @@ class _FittedPoly:
         return out
 
 
-def _fit_slice(states: Array, targets: Array, basis: RegressionBasis) -> _FittedPoly:
+def _fit_slice(
+    states: Array, targets: Array, basis: RegressionBasis
+) -> tuple[_FittedPoly, Array]:
+    """One least-squares solve for every column of ``targets`` on the
+    slice's standardized power basis.
+
+    ``targets`` is (n,) or (n, k); the fit's coefficients are (d+1,) or
+    (d+1, k) to match, and the fitted values at ``states`` come back in
+    the shape of ``targets``.
+    """
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
     n = states.size
     lo, hi = float(np.min(states)), float(np.max(states))
     span = hi - lo
     if span <= 1e-12 * (1.0 + abs(hi)) or basis.degree == 0:
-        coeffs = np.zeros(basis.degree + 1)
-        coeffs[0] = float(np.mean(targets))
-        return _FittedPoly(coeffs=coeffs, lo=lo, span=1.0, degenerate=True)
+        coeffs = np.zeros((basis.degree + 1,) + targets.shape[1:])
+        coeffs[0] = np.mean(targets, axis=0)
+        fitted = np.broadcast_to(coeffs[0], targets.shape).copy()
+        return _FittedPoly(coeffs=coeffs, lo=lo, span=1.0, degenerate=True), fitted
     cols = basis.degree + 1
     if n < cols:
         raise RegressionRankError(
             f"{n} paths cannot identify a degree-{basis.degree} basis; "
             "reduce the degree"
         )
-    design = np.vander((states - lo) / span, cols, increasing=True)
+    # powers written column by column: the same products as a row-wise
+    # Vandermonde build, on contiguous columns
+    design = np.empty((n, cols), order="F")
+    design[:, 0] = 1.0
+    design[:, 1] = (states - lo) / span
+    for k in range(2, cols):
+        np.multiply(design[:, k - 1], design[:, 1], out=design[:, k])
     coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < cols:
         raise RegressionRankError(
             f"design matrix rank {rank} < {cols}; reduce the degree"
         )
-    return _FittedPoly(coeffs=coeffs, lo=lo, span=span, degenerate=False)
+    return _FittedPoly(coeffs=coeffs, lo=lo, span=span, degenerate=False), design @ coeffs
 
 
 def condexp_regression(
@@ -100,8 +117,8 @@ def condexp_regression(
     problems ride this path); genuine rank deficiency on a spread slice
     raises RegressionRankError.
     """
-    fit = _fit_slice(states, targets, basis)
-    return fit.coeffs, fit(np.asarray(states, dtype=float))
+    fit, fitted = _fit_slice(states, targets, basis)
+    return fit.coeffs, fitted
 
 
 def truncate_qn(x, n: float):
@@ -288,38 +305,47 @@ def _backward(
         if frozen_z.shape != (n_paths, N + 1) or frozen_u.shape != (n_paths, N + 1, m):
             raise ValueError("frozen (z, u) fields do not match the bundle layout")
 
-    y = np.empty((n_paths, N + 1))
-    z = np.zeros((n_paths, N + 1))
-    u = np.zeros((n_paths, N + 1, m))
-    gamma = np.zeros((n_paths, N + 1))
-    k_inc = np.zeros((n_paths, N))
+    # column-major grids: every per-step read and write below is a
+    # contiguous column
+    y = np.empty((n_paths, N + 1), order="F")
+    z = np.zeros((n_paths, N + 1), order="F")
+    u = np.zeros((n_paths, N + 1, m), order="F")
+    gamma = np.zeros((n_paths, N + 1), order="F")
+    k_inc = np.zeros((n_paths, N), order="F")
     y[:, N] = spec.terminal_values(X[:, N])
     L_nodes = obstacle_on_grid(spec, bundle)
     y0_stderr = 0.0
+    rhs = np.empty((n_paths, 2 + (m if u_estimator == "compensated" else 0)), order="F")
 
     for i in range(N - 1, -1, -1):
         t = float(grid.nodes[i])
         dt = float(steps[i])
-        xi = X[:, i]
+        xi = np.ascontiguousarray(X[:, i])
+        # targets of the slice, fitted in one solve: the continuation,
+        # the z regressand and, compensated, one jump regressand per mark
+        rhs[:, 0] = y[:, i + 1]
+        rhs[:, 1] = y[:, i + 1] * bundle.brownian_increments[:, i] / dt
+        if u_estimator == "compensated":
+            for j in range(m):
+                comp = bundle.jump_counts[:, i, j] - lam[j] * dt
+                rhs[:, 2 + j] = y[:, i + 1] * comp / (lam[j] * dt)
         try:
-            fit = _fit_slice(xi, y[:, i + 1], basis)
+            fit, fitted = _fit_slice(xi, rhs, basis)
         except RegressionRankError as exc:
             raise RegressionRankError(f"step {i}: {exc}") from exc
-        c = fit(xi)
+        c = fitted[:, 0]
+        z[:, i] = fitted[:, 1]
         if u_estimator == "shifted":
+            cont = replace(fit, coeffs=fit.coeffs[:, 0])
             for j in range(m):
                 shifted = xi + np.asarray(
                     spec.forward.jump_size(t, xi, float(marks[j])), dtype=float
                 )
-                u[:, i, j] = fit(shifted) - c
+                u[:, i, j] = cont(shifted) - c
         else:
-            for j in range(m):
-                comp = bundle.jump_counts[:, i, j] - lam[j] * dt
-                u[:, i, j] = _fit_slice(xi, y[:, i + 1] * comp / (lam[j] * dt), basis)(xi)
+            u[:, i, :] = fitted[:, 2:]
         if m:
             gamma[:, i] = u[:, i, :] @ lam
-        zfit = _fit_slice(xi, y[:, i + 1] * bundle.brownian_increments[:, i] / dt, basis)
-        z[:, i] = zfit(xi)
 
         zd = frozen_z[:, i] if frozen_zu is not None else z[:, i]
         ud = frozen_u[:, i, :] if frozen_zu is not None else u[:, i, :]

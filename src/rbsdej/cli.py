@@ -39,7 +39,7 @@ from .reflect import (
     solve_reflected_penalization,
     write_convergence_csv,
 )
-from .registry import PROBLEMS, build_problem
+from .registry import PROBLEMS, ParameterError, build_problem
 from .simulate import build_grid, sample_paths
 from .verify import (
     apriori_suite,
@@ -94,6 +94,12 @@ _FIELDS = (
 )
 
 
+# Factory parameters that build() sets from other sections (INI keys are
+# lower case), so a [problem] value for them would be ignored.
+_BUILD_KEYS = {"t": "grid.horizon", "p": "exponents.p", "eps": "exponents.eps",
+               "beta": "exponents.beta"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     problem: str
@@ -119,6 +125,8 @@ class ExperimentConfig:
             if not ok(value):
                 raise ConfigError(key, f"{message}, got {value!r}")
         for key, value in self.problem_params:
+            if key.lower() in _BUILD_KEYS:
+                raise ConfigError(f"problem.{key}", f"set {_BUILD_KEYS[key.lower()]} instead")
             if not math.isfinite(value):
                 raise ConfigError(f"problem.{key}", f"must be finite, got {value!r}")
         try:
@@ -261,6 +269,8 @@ def _simulate(config: ExperimentConfig, timings: list) -> tuple:
         spec = config.build()
     except KeyError as exc:
         raise ConfigError(f"problem.{exc.args[0]}", f"not a parameter of {config.problem}") from exc
+    except ParameterError as exc:
+        raise ConfigError(f"problem.{exc.param}", exc.message) from exc
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from exc
     t = time.perf_counter()

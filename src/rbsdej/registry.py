@@ -21,6 +21,15 @@ from .model import (
 NEVER_BINDING = -1.0e9
 
 
+class ParameterError(ValueError):
+    """A factory parameter outside its range; ``param`` names it."""
+
+    def __init__(self, param: str, message: str) -> None:
+        self.param = param
+        self.message = message
+        super().__init__(f"{param} {message}")
+
+
 def _const(v: float):
     return lambda t, x: np.full(np.shape(x), v) if np.ndim(x) else v
 
@@ -233,6 +242,8 @@ def pure_jump_counter(
 ) -> ProblemSpec:
     """Forward that only counts jumps (drift 0, vol 0, unit jumps):
     useful for moment checks of the simulator."""
+    if intensity <= 0.0:
+        raise ParameterError("intensity", "must be positive")
     obstacle, left = _never_binding_obstacle()
     return ProblemSpec(
         exponents=Exponents.from_p(p, beta=beta, eps=eps),
@@ -256,9 +267,9 @@ def american_put_jumps(
     """American put variant with symmetric two-sided relative jumps of the
     forward (sizes +-jump_size, intensity split evenly)."""
     if not (0.0 < jump_size < 1.0):
-        raise ValueError("jump_size must lie in (0, 1)")
+        raise ParameterError("jump_size", "must lie in (0, 1)")
     if total_intensity <= 0.0:
-        raise ValueError("total_intensity must be positive")
+        raise ParameterError("total_intensity", "must be positive")
     kwargs["jump_sizes"] = (-jump_size, jump_size)
     kwargs["jump_weights"] = (0.5 * total_intensity, 0.5 * total_intensity)
     return american_put(**kwargs)
@@ -284,7 +295,8 @@ PROBLEMS: dict[str, Callable[..., ProblemSpec]] = {
 
 def build_problem(name: str, **params) -> ProblemSpec:
     """Instantiate a registry problem by name with numeric overrides. A
-    parameter that the factory does not take raises ``KeyError(parameter)``."""
+    parameter that the factory does not take raises ``KeyError(parameter)``,
+    one outside its range raises ``ParameterError``."""
     if name not in PROBLEMS:
         raise KeyError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}"

@@ -365,7 +365,7 @@ def contraction_suite(
         ratios = ratios[meaningful]
         table.append((b, tuple(round(float(r), 4) for r in ratios)))
         if b == max(beta_values):  # no meaningful ratio: converged at once, a vacuous pass
-            bad = ratios >= 1.0
+            bad = ~(ratios < 1.0)  # a NaN ratio (overflowing weights) is bad
             tally.add(max(len(ratios), 1), int(np.sum(bad)),
                       float(np.max(ratios) - 1.0) if len(ratios) else -1.0,
                       [(b, tuple(float(r) for r in ratios))] if bad.any() else [])

@@ -54,6 +54,76 @@ class TestCondexpRegression:
             rb.condexp_regression(np.arange(3.0), np.arange(3.0), rb.RegressionBasis(degree=5))
 
 
+def _reference_sweep(spec, bundle, basis, n_penalty, u_estimator):
+    """The penalized sweep with one Vandermonde build and one least-squares
+    solve per target, each fit evaluated by Horner's rule."""
+
+    def fit(states, targets):
+        lo, hi = states.min(), states.max()
+        span = hi - lo
+        if span <= 1e-12 * (1.0 + abs(hi)):
+            return lambda x: np.full(np.shape(x), np.mean(targets))
+        design = np.vander((states - lo) / span, basis.degree + 1, increasing=True)
+        coeffs = np.linalg.lstsq(design, targets, rcond=None)[0]
+        return lambda x: np.polyval(coeffs[::-1], (x - lo) / span)
+
+    X, N = bundle.forward_states, bundle.grid.n_steps
+    marks, lam = spec.marks.marks_array(), spec.marks.weights_array()
+    L = rb.backward.obstacle_on_grid(spec, bundle)
+    y, z, u = np.empty_like(X), np.zeros_like(X), np.zeros(X.shape + (spec.marks.m,))
+    y[:, N] = spec.terminal_values(X[:, N])
+    for i in range(N - 1, -1, -1):
+        t, dt, xi = bundle.grid.nodes[i], bundle.grid.steps[i], X[:, i]
+        cont = fit(xi, y[:, i + 1])
+        c = cont(xi)
+        z[:, i] = fit(xi, y[:, i + 1] * bundle.brownian_increments[:, i] / dt)(xi)
+        for j in range(spec.marks.m):
+            if u_estimator == "shifted":
+                u[:, i, j] = cont(xi + spec.forward.jump_size(t, xi, marks[j])) - c
+            else:
+                comp = bundle.jump_counts[:, i, j] - lam[j] * dt
+                u[:, i, j] = fit(xi, y[:, i + 1] * comp / (lam[j] * dt))(xi)
+        fy = lambda yv: spec.driver_values(t, xi, yv, z[:, i], u[:, i, :])  # noqa: E731
+        y[:, i] = rb.backward._solve_implicit_step(fy, c, L[:, i], dt, n_penalty, i)
+    return y, z, u
+
+
+class TestSliceFit:
+    def test_multi_target_matches_one_fit_per_target(self):
+        rng = np.random.default_rng(3)
+        states = rng.lognormal(0.0, 0.3, 2000)
+        targets = np.column_stack([
+            np.maximum(1.1 - states, 0.0), np.sin(3.0 * states),
+            states**3 + rng.standard_normal(2000), rng.standard_normal(2000),
+        ])
+        basis = rb.RegressionBasis(degree=4)
+        fit, fitted = rb.backward._fit_slice(states, targets, basis)
+        assert fit.coeffs.shape == (5, 4) and fitted.shape == (2000, 4)
+        for k in range(4):
+            coeffs, one = rb.condexp_regression(targets[:, k], states, basis)
+            assert np.max(np.abs(fit.coeffs[:, k] - coeffs)) <= 1e-12 * (1.0 + np.max(np.abs(coeffs)))
+            assert np.max(np.abs(fitted[:, k] - one)) <= 1e-12
+
+    @pytest.mark.parametrize("u_estimator", ["shifted", "compensated"])
+    def test_sweep_matches_per_target_reference(self, u_estimator):
+        spec = rb.build_problem("american_put_jumps")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 2000, seed=5)
+        basis = rb.RegressionBasis(degree=3)
+        sol = rb.solve_penalized(spec, bundle, basis, 16.0, u_estimator=u_estimator)
+        y, z, u = _reference_sweep(spec, bundle, basis, 16.0, u_estimator)
+        assert np.max(np.abs(sol.y - y)) <= 1e-12
+        assert np.max(np.abs(sol.z - z)) <= 1e-12
+        assert np.max(np.abs(sol.u - u)) <= 1e-12
+
+    def test_rank_short_slice_names_the_step(self):
+        # at intensity 0.5 the 200 jump counts take three distinct values
+        # on the last slice, so a cubic basis is rank short there
+        spec = rb.build_problem("pure_jump_counter", intensity=0.5)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 200, seed=1)
+        with pytest.raises(rb.RegressionRankError, match=r"^step \d+: design matrix rank"):
+            rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=3), 4.0)
+
+
 class TestTruncateQn:
     def test_examples(self):
         assert rb.truncate_qn(3.0, 2.0) == pytest.approx(2.0)

@@ -102,8 +102,21 @@ class TestConfigParsing:
             (None, ["--threads", "0"], "run.threads"),
             (("name = flat_obstacle", "name = flat_obstacle\nbogus = 1"), [], "problem.bogus"),
             (("name = flat_obstacle", "name = american_put_jumps\nkwargs = 1"), [], "problem.kwargs"),
+            (("name = flat_obstacle", "name = american_put_jumps\njump_size = 2"), [],
+             "problem.jump_size: must lie in (0, 1)"),
+            (("name = flat_obstacle", "name = pure_jump_counter\nintensity = -1"), [],
+             "problem.intensity: must be positive"),
+            (("name = flat_obstacle", "name = flat_obstacle\np = 1.2"), [],
+             "problem.p: set exponents.p instead"),
+            (("name = flat_obstacle", "name = flat_obstacle\neps = 0.4"), [],
+             "problem.eps: set exponents.eps instead"),
+            (("name = flat_obstacle", "name = flat_obstacle\nbeta = 3"), [],
+             "problem.beta: set exponents.beta instead"),
+            (("name = flat_obstacle", "name = flat_obstacle\nT = 2"), [],
+             "problem.t: set grid.horizon instead"),
         ],
-        ids=["kappa", "beta", "seed", "threads", "bogus", "kwargs"],
+        ids=["kappa", "beta", "seed", "threads", "bogus", "kwargs", "jump_size", "intensity",
+             "problem_p", "problem_eps", "problem_beta", "problem_T"],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, ini_edit, flags, field):
         f = tmp_path / "bad.ini"

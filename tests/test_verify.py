@@ -206,7 +206,7 @@ class TestFailingBranches:
     """Each suite driven into failure through its own gate: the tally counts
     the failures and keeps between one and MAX_WITNESSES witnesses."""
 
-    @pytest.mark.parametrize("case", ["penalty_decay", "apriori", "crosscheck"])
+    @pytest.mark.parametrize("case", ["penalty_decay", "apriori", "crosscheck", "contraction_nan"])
     def test_failure_witnessed(self, case):
         if case == "penalty_decay":
             spec = rb.build_problem("flat_obstacle")
@@ -219,11 +219,18 @@ class TestFailingBranches:
             spec = rb.build_problem("american_put")
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 15), 1500, seed=2)
             res = rb.apriori_suite(spec, bundle, rb.RegressionBasis(degree=3), scaling_rtol=1e-18)
-        else:
+        elif case == "crosscheck":
             spec = rb.build_problem("linear_gamma")
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=4)
             res = rb.jump_estimator_crosscheck(spec, bundle, rb.RegressionBasis(degree=3),
                                                se_gate=1e-9)
+        else:
+            # beta * A_T ~ 2700 overflows the weights: every ratio is NaN
+            spec = rb.build_problem("linear_z")
+            bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = rb.contraction_suite(spec, bundle, rb.RegressionBasis(degree=2),
+                                           beta_values=(1e5,), n_penalty=8.0)
         assert not res.passed
         assert res.failures >= 1
         assert 1 <= len(res.witnesses) <= MAX_WITNESSES
