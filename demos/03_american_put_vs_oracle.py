@@ -37,7 +37,7 @@ for name in ("american_put", "american_put_jumps"):
     print(f"  flat integral (penalized) = {run.skorokhod.flat_integral:.2e}")
     print(f"  {elapsed:.1f}s")
     if name == "american_put_jumps":
-        gamma = run.solution.gamma
+        gamma = run.solution.gamma()
         print(f"  mean |Gamma| across nodes = {float(np.mean(np.abs(gamma[:, :-1]))):.4f} "
               "(compensator-weighted jump response)")
     print()

@@ -10,7 +10,6 @@ below tolerance.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -132,36 +131,35 @@ def truncate_qn(x, n: float):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Solver metadata: penalty level, fixed-point iteration count and
-    residuals (in iteration order), seed and timing. ``y0_stderr`` is the
-    cross-path standard error of the step-0 target mean (the usual
-    conditional standard error of a regression Monte Carlo value)."""
+    """Solver metadata: fixed-point iteration count and residuals (in
+    iteration order) and warnings. ``y0_stderr`` is the cross-path
+    standard error of the step-0 target mean (the usual conditional
+    standard error of a regression Monte Carlo value)."""
 
-    n_penalty: float
-    picard_iters: int
-    residual_history: tuple[float, ...]
-    seed: int
-    wall_time: float
+    picard_iters: int = 0
+    residual_history: tuple[float, ...] = ()
     y0_stderr: float = 0.0
     warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class BackwardSolution:
-    """Discrete (Y, Z, U, Gamma, K) on the grid, per path.
+    """Discrete (Y, Z, U, K) on the grid, per path, with the obstacle the
+    solve was judged against.
 
     ``k_cum`` accumulates the solver's K increments with k_cum[:, 0] = 0;
     ``k_jump_T`` holds the mass classified as the predictable terminal
     jump (zero for raw penalized output, populated by the reflected
-    extraction and by the dynamic-programming oracle).
+    extraction and by the dynamic-programming oracle). ``obstacle`` is
+    L at every (path, node), as the sweep sampled it.
     """
 
     y: Array
     z: Array
     u: Array
-    gamma: Array
     k_cum: Array
     k_jump_T: Array
+    obstacle: Array
     run: RunRecord
     mark_weights: Array
 
@@ -170,6 +168,10 @@ class BackwardSolution:
 
     def k_T(self) -> Array:
         return self.k_cum[:, -1] + self.k_jump_T
+
+    def gamma(self) -> Array:
+        """Compensator aggregate Gamma = sum_j lambda_j U(e_j) per (path, node)."""
+        return self.u @ self.mark_weights
 
 
 def obstacle_on_grid(spec: ProblemSpec, bundle: PathBundle) -> Array:
@@ -193,9 +195,14 @@ def _solve_implicit_step(
     """Root of y = c + dt f(y) + n dt (y - L)^- for every path at once.
 
     Closed two-branch form when the driver is affine in y on the step
-    (probed at three spread points); vectorized bisection with bracket
-    expansion otherwise.
+    (probed at three spread points) and that form solves the equation to
+    the bisection tolerance; vectorized bisection with bracket expansion
+    otherwise.
     """
+
+    def g(yv: Array) -> Array:
+        return yv - c - dt * fy(yv) - n_penalty * dt * np.maximum(L - yv, 0.0)
+
     h = 1.0 + np.abs(c)
     f0 = fy(c)
     f1 = fy(c + h)
@@ -222,10 +229,13 @@ def _solve_implicit_step(
         y_pen = (c + f_at_0 * dt + n_penalty * dt * L) / denom_pen
         y = np.where(y_free >= L, y_free, y_pen)
         # monotone one-branch consistency; ties land on the obstacle
-        return np.where((y_free < L) & (y_pen > L), L, y)
-
-    def g(yv: Array) -> Array:
-        return yv - c - dt * fy(yv) - n_penalty * dt * np.maximum(L - yv, 0.0)
+        y = np.where((y_free < L) & (y_pen > L), L, y)
+        # the probes sit at and above c, so a curvature near a root below
+        # them (or one within _AFFINE_RTOL) shows only in the residual;
+        # |g(y)| / g'(y) bounds the distance to the root
+        slope = np.where(y < L, denom_pen, denom_free)
+        if np.all(np.abs(g(y)) <= BISECT_TOL * (1.0 + float(np.max(np.abs(y)))) * slope):
+            return y
 
     lo = np.minimum(c, L) - 1.0 - dt * np.abs(f0)
     hi = np.maximum(c, L) + 1.0 + dt * np.abs(f0)
@@ -272,7 +282,6 @@ def _backward(
     bundle: PathBundle,
     basis: RegressionBasis,
     step: StepRule,
-    n_penalty: float,
     frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
     terminal_jump: Callable[[Array, Array, Array], Array] | None = None,
@@ -285,12 +294,11 @@ def _backward(
     z_i; then ``step(fy, c, L_i, dt, i)`` returns (y_i, dK_i), with fy(y)
     the driver at the step's (z, u). ``terminal_jump(y, L, dK_last)``, when
     given, returns the part of the last increment that is the predictable
-    jump of K at T. ``n_penalty`` is only recorded on the run.
+    jump of K at T.
     """
     if u_estimator not in ("shifted", "compensated"):
         raise ValueError(f"unknown u_estimator {u_estimator!r}")
     _check_bundle(spec, bundle)
-    t_start = time.perf_counter()
     grid = bundle.grid
     N = grid.n_steps
     steps = grid.steps
@@ -310,7 +318,6 @@ def _backward(
     y = np.empty((n_paths, N + 1), order="F")
     z = np.zeros((n_paths, N + 1), order="F")
     u = np.zeros((n_paths, N + 1, m), order="F")
-    gamma = np.zeros((n_paths, N + 1), order="F")
     k_inc = np.zeros((n_paths, N), order="F")
     y[:, N] = spec.terminal_values(X[:, N])
     L_nodes = obstacle_on_grid(spec, bundle)
@@ -344,8 +351,6 @@ def _backward(
                 u[:, i, j] = cont(shifted) - c
         else:
             u[:, i, :] = fitted[:, 2:]
-        if m:
-            gamma[:, i] = u[:, i, :] @ lam
 
         zd = frozen_z[:, i] if frozen_zu is not None else z[:, i]
         ud = frozen_u[:, i, :] if frozen_zu is not None else u[:, i, :]
@@ -364,18 +369,9 @@ def _backward(
         k_inc[:, -1] -= k_jump_T
     k_cum = np.zeros((n_paths, N + 1))
     k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
-    run = RunRecord(
-        n_penalty=float(n_penalty),
-        picard_iters=0,
-        residual_history=(),
-        seed=bundle.seed,
-        wall_time=time.perf_counter() - t_start,
-        y0_stderr=y0_stderr,
-    )
     return BackwardSolution(
-        y=y, z=z, u=u, gamma=gamma,
-        k_cum=k_cum, k_jump_T=k_jump_T,
-        run=run, mark_weights=lam,
+        y=y, z=z, u=u, k_cum=k_cum, k_jump_T=k_jump_T, obstacle=L_nodes,
+        run=RunRecord(y0_stderr=y0_stderr), mark_weights=lam,
     )
 
 
@@ -405,7 +401,7 @@ def solve_penalized(
         y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i)
         return y_i, n_penalty * dt * np.maximum(L_i - y_i, 0.0)
 
-    return _backward(spec, bundle, basis, penalty_step, n_penalty, frozen_zu, u_estimator)
+    return _backward(spec, bundle, basis, penalty_step, frozen_zu, u_estimator)
 
 
 def picard_solve(
@@ -432,16 +428,9 @@ def picard_solve(
         raise ValueError("tol must be positive")
     from .model import driver_uses_zu
 
-    t_start = time.perf_counter()
     if not driver_uses_zu(spec):
         sol = solve_penalized(spec, bundle, basis, n_penalty)
-        run = replace(
-            sol.run,
-            picard_iters=1,
-            residual_history=(0.0,),
-            wall_time=time.perf_counter() - t_start,
-        )
-        return replace(sol, run=run)
+        return replace(sol, run=replace(sol.run, picard_iters=1, residual_history=(0.0,)))
 
     N = bundle.grid.n_steps
     m = spec.marks.m
@@ -478,7 +467,6 @@ def picard_solve(
         sol.run,
         picard_iters=iters,
         residual_history=tuple(residuals),
-        wall_time=time.perf_counter() - t_start,
         warnings=tuple(warnings_),
     )
     return replace(sol, run=run)

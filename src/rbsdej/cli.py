@@ -323,7 +323,8 @@ def run(
 ) -> int:
     """Execute one experiment; returns the process exit code. A config
     error writes nothing; a solver error writes config.ini and a manifest
-    with an ``error`` line, but no CSV."""
+    with an ``error`` line, but no CSV. Each solver warning is a
+    ``warning`` line of the manifest."""
     t0 = time.perf_counter()
     timings: list[tuple[str, float]] = []
     overrides = {"seed": seed, "threads": threads, "mode": mode_override}
@@ -343,7 +344,7 @@ def run(
     with open(out / "config.ini", "w") as fh:
         dump_config(config, fh)
 
-    error = None
+    error, warnings_ = None, ()
     if config.mode == "verify-all":
         ok = _verify_all(config, out)
     else:
@@ -356,7 +357,8 @@ def run(
             for name, write, value in tables:
                 with open(out / name, "w", newline="") as fh:
                     write(value, fh)
-            for w in sol.run.warnings:
+            warnings_ = sol.run.warnings
+            for w in warnings_:
                 print(f"warning: {w}", file=sys.stderr)
         ok = error is None
 
@@ -371,6 +373,7 @@ def run(
         f"total_seconds {total:.3f}",
     ]
     manifest += [f"timing {name} {secs:.3f}" for name, secs in timings]
+    manifest += [f"warning {w}" for w in warnings_]
     if error is not None:
         manifest.append(f"error {error}")
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n")

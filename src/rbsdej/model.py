@@ -19,6 +19,8 @@ Array = np.ndarray
 
 # Relative tolerance used by obstacle/terminal equality indicators.
 EQUALITY_RTOL = 1e-8
+# Intervals of the dense grid on which normalize_driver integrates the rate.
+QUAD_STEPS = 4096
 
 
 class AssumptionError(ValueError):
@@ -267,9 +269,11 @@ class ProblemSpec:
         return _shaped(self.driver(t, x, y, z, u), y)
 
 
-def driver_uses_zu(spec: ProblemSpec, n_probe: int = 8, seed: int = 0) -> bool:
-    """Probe whether the driver reacts to its (z, u) arguments."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x2D]))
+def driver_uses_zu(spec: ProblemSpec) -> bool:
+    """Probe whether the driver reacts to its (z, u) arguments at 8 fixed
+    random states."""
+    n_probe = 8
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0x2D]))
     x0 = spec.forward.x0
     x = x0 + (1.0 + abs(x0)) * rng.standard_normal(n_probe)
     y = rng.standard_normal(n_probe)
@@ -500,14 +504,14 @@ class DriverNormalization:
             y=sol.y * g,
             z=sol.z * g,
             u=sol.u * g[None, :, None],
-            gamma=sol.gamma * g,
             k_cum=k_cum,
             k_jump_T=sol.k_jump_T * g[-1],
+            obstacle=sol.obstacle * g,
         )
 
 
 def normalize_driver(
-    spec: ProblemSpec, eps_knob: float = 0.0, quad_steps: int = 4096
+    spec: ProblemSpec, eps_knob: float = 0.0
 ) -> tuple[ProblemSpec, DriverNormalization]:
     """Exponential change of variables taking the monotonicity rate of the
     driver to -eps_knob * a^2 (to 0 for the default eps_knob = 0).
@@ -522,7 +526,7 @@ def normalize_driver(
     T = spec.horizon
     x0 = spec.forward.x0
     probe_x = np.array([x0 - 1.0 - abs(x0), x0, x0 + 1.0 + abs(x0)])
-    tq = np.linspace(0.0, T, quad_steps + 1)
+    tq = np.linspace(0.0, T, QUAD_STEPS + 1)
 
     def rate_at(t: float) -> float:
         r = spec.coeffs.rates(t, probe_x)
@@ -541,7 +545,7 @@ def normalize_driver(
             "a no-op up to the accumulated factor",
             stacklevel=2,
         )
-    dense_R = np.zeros(quad_steps + 1)
+    dense_R = np.zeros(QUAD_STEPS + 1)
     dense_R[1:] = np.cumsum(rdot * np.diff(tq))
     norm = DriverNormalization(
         eps_knob=eps_knob, horizon=T, _dense_nodes=tq, _dense_R=dense_R

@@ -167,13 +167,14 @@ def weighted_distance(
 
 
 def scale_solution(sol: "BackwardSolution", s: float) -> "BackwardSolution":
-    """Multiply every solution field by s (homogeneity experiments)."""
+    """Multiply every solution field, and the obstacle, by s (homogeneity
+    experiments)."""
     return replace(
         sol,
         y=s * sol.y,
         z=s * sol.z,
         u=s * sol.u,
-        gamma=s * sol.gamma,
         k_cum=s * sol.k_cum,
         k_jump_T=s * sol.k_jump_T,
+        obstacle=s * sol.obstacle,
     )

@@ -17,7 +17,6 @@ from .backward import (
     SolverError,
     _backward,
     _solve_implicit_step,
-    obstacle_on_grid,
     picard_solve,
 )
 from .model import EQUALITY_RTOL, ProblemSpec
@@ -29,6 +28,9 @@ Array = np.ndarray
 # Width of the terminal boundary layer, in units of 1/n_penalty, whose
 # K-mass is classified as the predictable terminal jump.
 TERMINAL_LAYER_FACTOR = 10.0
+# Fixed-point tolerance and iteration cap of every penalty level.
+PICARD_TOL = 1e-6
+PICARD_MAX_ITER = 25
 
 CONVERGENCE_CSV_COLUMNS = [
     "n", "penalty_error", "Y0_mean", "Y0_stderr", "K_T_mean", "flat_integral", "wall_time",
@@ -105,12 +107,12 @@ def penalty_error(
     sol: BackwardSolution, bundle: PathBundle, spec: ProblemSpec
 ) -> tuple[float, float]:
     """Weighted sup penalty error, p-th power: MC mean and standard error
-    of max over nodes of e^{(p/2) beta A} ((y - L)^-)^p."""
+    of max over nodes of e^{(p/2) beta A} ((y - L)^-)^p, with L the
+    obstacle the solution carries."""
     p = spec.exponents.p
     beta = spec.exponents.beta
-    L = obstacle_on_grid(spec, bundle)
     w = np.exp(0.5 * p * beta * bundle.A_path)
-    return _mc(np.max(w * np.maximum(L - sol.y, 0.0) ** p, axis=1))
+    return _mc(np.max(w * np.maximum(sol.obstacle - sol.y, 0.0) ** p, axis=1))
 
 
 def _require_finite(
@@ -193,7 +195,7 @@ def skorokhod_report(
     sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle
 ) -> SkorokhodReport:
     """Evaluate the flat-off diagnostics on a solved grid solution."""
-    L = obstacle_on_grid(spec, bundle)
+    L = sol.obstacle
     dKc = np.diff(sol.k_cum, axis=1)
     clearance = sol.y[:, :-1] - L[:, :-1]
     flat = float(np.mean(np.sum(clearance * dKc, axis=1)))
@@ -218,8 +220,6 @@ def solve_reflected_penalization(
     bundle: PathBundle,
     basis: RegressionBasis,
     schedule: PenalizationSchedule,
-    picard_tol: float = 1e-6,
-    picard_max_iter: int = 25,
 ) -> ReflectedRun:
     """Drive the penalization schedule towards the reflected solution.
 
@@ -236,7 +236,7 @@ def solve_reflected_penalization(
     reached = False
     for n in schedule.n_values:
         t0 = time.perf_counter()
-        sol = picard_solve(spec, bundle, basis, n, tol=picard_tol, max_iter=picard_max_iter)
+        sol = picard_solve(spec, bundle, basis, n, tol=PICARD_TOL, max_iter=PICARD_MAX_ITER)
         rows.append(_level_row(sol, spec, bundle, n, t0))
         if rows[-1].penalty_error < schedule.stop_tol:
             reached = True
@@ -280,10 +280,7 @@ def solve_reflected_dp_oracle(
     def split_terminal_jump(y, L, k_last):
         return np.minimum(_terminal_jump_formula(spec, bundle, y, L), k_last)
 
-    return _backward(
-        spec, bundle, basis, projection_step, float("inf"),
-        terminal_jump=split_terminal_jump,
-    )
+    return _backward(spec, bundle, basis, projection_step, terminal_jump=split_terminal_jump)
 
 
 def write_convergence_csv(table: Sequence[PenaltyLevelRow], fh) -> None:

@@ -296,16 +296,21 @@ PROBLEMS: dict[str, Callable[..., ProblemSpec]] = {
 def build_problem(name: str, **params) -> ProblemSpec:
     """Instantiate a registry problem by name with numeric overrides. A
     parameter that the factory does not take raises ``KeyError(parameter)``,
-    one outside its range raises ``ParameterError``."""
+    one outside its range, or a number for a tuple-valued parameter, raises
+    ``ParameterError``."""
     if name not in PROBLEMS:
         raise KeyError(
             f"unknown problem {name!r}; available: {', '.join(sorted(PROBLEMS))}"
         )
     factory = PROBLEMS[name]
-    for key in params:
-        if key not in inspect.signature(factory).parameters:
+    accepted = inspect.signature(factory).parameters
+    for key, value in params.items():
+        if key not in accepted:
             raise KeyError(key)
+        if isinstance(accepted[key].default, tuple) and not isinstance(value, tuple):
+            raise ParameterError(
+                key, f"takes a tuple of values and cannot be set from a config, got {value!r}")
     try:
         return factory(**params)
     except TypeError as exc:
-        raise ValueError(f"problem.{name}: {exc}") from exc
+        raise ValueError(f"{name}: {exc}") from exc

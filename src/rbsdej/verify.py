@@ -20,7 +20,7 @@ import numpy as np
 from .backward import (
     BackwardSolution,
     RegressionBasis,
-    obstacle_on_grid,
+    RunRecord,
     picard_solve,
     solve_penalized,
 )
@@ -32,6 +32,9 @@ from .simulate import PathBundle, build_grid, sample_paths
 Array = np.ndarray
 
 MAX_WITNESSES = 10
+JUMP_BOX = 10.0  # the jump inequality is swept over [-JUMP_BOX, JUMP_BOX]^2
+MAX_VIOLATION_FRACTION = 1e-3  # comparison suite: share of (path, node) allowed to violate
+REFINEMENT_FACTOR_GATE = 2.0  # a-priori suite: norm-to-data ratio drift under N -> 2N
 PROPERTIES_CSV_COLUMNS = ["name", "trials", "failures", "worst_margin"]
 
 
@@ -131,15 +134,14 @@ def check_jump_inequality(y, u, p):
 def jump_inequality_suite(
     n_samples: int = 1_000_000,
     p_values: Sequence[float] = (1.1, 1.5, 1.9),
-    box: float = 10.0,
     seed: int = 0,
 ) -> PropertyResult:
-    """Uniform random sweep of the jump inequality over [-box, box]^2."""
+    """Uniform random sweep of the jump inequality over [-JUMP_BOX, JUMP_BOX]^2."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x11]))
     tally = _Tally()
     for p in p_values:
-        y = rng.uniform(-box, box, n_samples)
-        u = rng.uniform(-box, box, n_samples)
+        y = rng.uniform(-JUMP_BOX, JUMP_BOX, n_samples)
+        u = rng.uniform(-JUMP_BOX, JUMP_BOX, n_samples)
         lhs, rhs, ok = check_jump_inequality(y, u, p)
         bad = np.flatnonzero(~ok)
         tally.add(n_samples, bad.size, float(np.max(rhs - lhs)),
@@ -156,7 +158,6 @@ def comparison_suite(
     bundle: PathBundle,
     basis: RegressionBasis,
     n_pairs: Sequence[tuple[float, float]],
-    max_violation_fraction: float = 1e-3,
 ) -> PropertyResult:
     """Monotonicity of the penalized solution in the penalty level.
 
@@ -185,8 +186,8 @@ def comparison_suite(
     fraction = tally.failures / tally.trials if tally.trials else 0.0
     return tally.result(
         "comparison_monotonicity",
-        passed=fraction <= max_violation_fraction,
-        detail=f"violation fraction {fraction:.2e} (gate {max_violation_fraction:.0e})",
+        passed=fraction <= MAX_VIOLATION_FRACTION,
+        detail=f"violation fraction {fraction:.2e} (gate {MAX_VIOLATION_FRACTION:.0e})",
     )
 
 
@@ -245,22 +246,20 @@ def scale_problem_data(spec: ProblemSpec, s: float) -> ProblemSpec:
     return _rescale_data(spec, lambda t: s, s)
 
 
-def data_norms(spec: ProblemSpec, bundle: PathBundle) -> float:
-    """Aggregate data size: terminal p-norm, inhomogeneity integral and
-    weighted obstacle supremum (the right-hand side of the stability
-    bound), p-th powers summed."""
+def data_norms(sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> float:
+    """Aggregate data size of a solve: terminal p-norm, inhomogeneity
+    integral and weighted obstacle supremum (the right-hand side of the
+    stability bound), p-th powers summed. The terminal values are the
+    solution's last column and the obstacle is the one it carries."""
     e = spec.exponents
     p, q, beta = e.p, e.q, e.beta
     A = bundle.A_path
-    X = bundle.forward_states
-    xi = spec.terminal_values(X[:, -1])
-    term = np.exp(0.5 * p * beta * A[:, -1]) * np.abs(xi) ** p
+    term = np.exp(0.5 * p * beta * A[:, -1]) * np.abs(sol.y[:, -1]) ** p
     steps = bundle.grid.steps
     varphi = bundle.coeff_path.varphi
     inhom = np.sum(np.exp(beta * A[:, :-1]) * varphi[:, :-1] ** p * steps[None, :], axis=1)
-    L = obstacle_on_grid(spec, bundle)
     obst = np.max(
-        (np.exp(0.5 * q * beta * A) * np.maximum(L, 0.0)) ** p, axis=1
+        (np.exp(0.5 * q * beta * A) * np.maximum(sol.obstacle, 0.0)) ** p, axis=1
     )
     return float(np.mean(term) + np.mean(inhom) + np.mean(obst))
 
@@ -276,7 +275,6 @@ def apriori_suite(
     n_penalty: float = 64.0,
     scales: Sequence[float] = (1.0, 2.0, 4.0),
     scaling_rtol: float = 0.05,
-    refinement_factor_gate: float = 2.0,
 ) -> PropertyResult:
     """Three checkable consequences of the a-priori stability bound:
     (i) every norm estimate is finite; (ii) scaling the data by s scales
@@ -315,12 +313,12 @@ def apriori_suite(
     fine_rep = _report_fields(estimate_norms(fine_sol, fine_bundle, e))
     lhs_coarse = float(np.sum(base_rep))
     lhs_fine = float(np.sum(fine_rep))
-    ratio_coarse = lhs_coarse / max(data_norms(spec, bundle), 1e-300)
-    ratio_fine = lhs_fine / max(data_norms(spec, fine_bundle), 1e-300)
+    ratio_coarse = lhs_coarse / max(data_norms(base_sol, spec, bundle), 1e-300)
+    ratio_fine = lhs_fine / max(data_norms(fine_sol, spec, fine_bundle), 1e-300)
     if ratio_coarse > 0.0 and ratio_fine > 0.0:
         factor = max(ratio_coarse / ratio_fine, ratio_fine / ratio_coarse)
-        bad = factor > refinement_factor_gate
-        tally.add(1, int(bad), factor - refinement_factor_gate,
+        bad = factor > REFINEMENT_FACTOR_GATE
+        tally.add(1, int(bad), factor - REFINEMENT_FACTOR_GATE,
                   [("refinement", ratio_coarse, ratio_fine)] if bad else [])
     else:
         bad = (ratio_coarse > 0.0) != (ratio_fine > 0.0)
@@ -407,20 +405,13 @@ def jump_estimator_crosscheck(
 
 
 def make_synthetic_solution(bundle: PathBundle, u: Array, mark_weights: Array) -> BackwardSolution:
-    """Wrap a jump-response field into a solution shell (zero Y, Z, K) so
-    the norm estimators can run on it."""
-    from .backward import RunRecord
-
+    """Wrap a jump-response field into a solution shell (zero Y, Z, K and
+    obstacle) so the norm estimators can run on it."""
     n, nodes = bundle.n_paths, bundle.grid.nodes.size
     zeros = np.zeros((n, nodes))
     return BackwardSolution(
-        y=zeros, z=zeros, u=u, gamma=zeros,
-        k_cum=zeros, k_jump_T=np.zeros(n),
-        run=RunRecord(
-            n_penalty=0.0, picard_iters=0, residual_history=(),
-            seed=bundle.seed, wall_time=0.0,
-        ),
-        mark_weights=np.asarray(mark_weights, dtype=float),
+        y=zeros, z=zeros, u=u, k_cum=zeros, k_jump_T=np.zeros(n), obstacle=zeros,
+        run=RunRecord(), mark_weights=np.asarray(mark_weights, dtype=float),
     )
 
 

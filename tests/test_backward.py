@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rbsdej as rb
@@ -225,6 +225,107 @@ class TestSolvePenalized:
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 4, seed=3)
         with pytest.raises(rb.SolverError, match="step"):
             rb.solve_penalized(spec, bundle, basis0, 1.0)
+
+
+# per-path data of one implicit step: c, L and the driver
+# f(y) = a - b y - k tanh(y), nonincreasing in y and affine where k = 0
+_step_row = st.tuples(
+    st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+    st.floats(-5.0, 5.0), st.floats(0.0, 5.0), st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+)
+_step_rows = st.lists(_step_row, min_size=1, max_size=8).map(lambda rows: np.array(rows).T)
+_dt = st.floats(1e-3, 0.5)
+_level = st.floats(0.0, 1e4)
+
+
+def _step_driver(a, b, k):
+    return lambda y: a - b * y - k * np.tanh(y)
+
+
+def _implicit_residual(y, c, L, dt, n, fy):
+    return y - c - dt * fy(y) - n * dt * np.maximum(L - y, 0.0)
+
+
+def _root_width(y):
+    return rb.backward.BISECT_TOL * (1.0 + float(np.max(np.abs(y))))
+
+
+class TestImplicitStep:
+    @given(_step_rows, _dt, _level)
+    @settings(max_examples=200, deadline=None)
+    # tanh is flat to 1e-8 at the probes c, c + h and c + 2.6 h but not at
+    # the root, which lies below c (first) or between c and L (second)
+    @example(np.array([[8.0], [0.0], [0.0], [1.0], [1.0]]), 0.5, 0.0)
+    @example(np.array([[8.0], [9.0], [0.0], [1.0], [1.0]]), 0.5, 10.0)
+    def test_root_solves_the_step_equation(self, rows, dt, n):
+        # the residual increases in y, so a root within the tolerance of y
+        # shows as a sign change across [y - w, y + w]
+        c, L, a, b, k = rows
+        fy = _step_driver(a, b, k)
+        y = rb.backward._solve_implicit_step(fy, c, L, dt, n, 0)
+        w = _root_width(y)
+        assert np.all(_implicit_residual(y - w, c, L, dt, n, fy) <= 0.0)
+        assert np.all(_implicit_residual(y + w, c, L, dt, n, fy) >= 0.0)
+
+    @given(_step_rows, _dt, _level, _level)
+    @settings(max_examples=200, deadline=None)
+    def test_root_nondecreasing_in_penalty(self, rows, dt, n1, n2):
+        c, L, a, b, k = rows
+        fy = _step_driver(a, b, k)
+        lo, hi = (rb.backward._solve_implicit_step(fy, c, L, dt, n, 0) for n in sorted((n1, n2)))
+        assert np.all(hi >= lo - 2.0 * max(_root_width(lo), _root_width(hi)))
+
+    @given(_step_rows, _dt, _level)
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_bisection(self, rows, dt, n):
+        # one curved path (tanh at 0) sends the whole batch to bisection;
+        # the closed form costs three probes and one residual evaluation
+        c, L, a, b, _ = rows
+        calls = []
+
+        def counted(fy):
+            return lambda y: calls.append(1) or fy(y)
+
+        closed = rb.backward._solve_implicit_step(counted(_step_driver(a, b, 0.0)), c, L, dt, n, 0)
+        assert len(calls) == 4
+        a, b, k, c, L = (np.append(v, e) for v, e in
+                         ((a, 0.0), (b, 0.0), (np.zeros_like(a), 1.0), (c, 0.0), (L, 0.0)))
+        bisected = rb.backward._solve_implicit_step(counted(_step_driver(a, b, k)), c, L, dt, n, 0)
+        assert len(calls) > 8
+        assert np.max(np.abs(bisected[:-1] - closed)) <= 2.0 * _root_width(bisected)
+
+
+class TestSolutionFields:
+    @pytest.mark.parametrize("scheme", ["penalized", "picard", "oracle", "reflected"])
+    def test_solution_carries_the_sampled_obstacle(self, scheme):
+        spec = rb.build_problem("linear_z" if scheme == "picard" else "american_put_jumps")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=3)
+        basis = rb.RegressionBasis(degree=2)
+        if scheme == "penalized":
+            sol = rb.solve_penalized(spec, bundle, basis, 16.0)
+        elif scheme == "picard":
+            sol = rb.picard_solve(spec, bundle, basis, 16.0, tol=1e-10, max_iter=5)
+            assert sol.run.picard_iters > 1
+        elif scheme == "oracle":
+            sol = rb.solve_reflected_dp_oracle(spec, bundle, basis)
+        else:
+            sol = rb.solve_reflected_penalization(
+                spec, bundle, basis, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12)
+            ).solution
+        np.testing.assert_array_equal(sol.obstacle, rb.backward.obstacle_on_grid(spec, bundle))
+
+    def test_gamma_is_the_compensator_aggregate(self, flat_spec, flat_bundle_coarse, basis0):
+        spec = rb.build_problem("american_put_jumps")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=3)
+        sol = rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=2), 16.0)
+        gamma = sol.gamma()
+        np.testing.assert_array_equal(gamma, sol.u @ sol.mark_weights)
+        lam = spec.marks.weights_array()
+        by_mark = sum(lam[j] * sol.u[:, :, j] for j in range(spec.marks.m))
+        np.testing.assert_allclose(gamma, by_mark, rtol=1e-14, atol=1e-15)
+        assert gamma.shape == sol.y.shape and np.all(gamma[:, -1] == 0.0)
+        flat = rb.solve_penalized(flat_spec, flat_bundle_coarse, basis0, 4.0)
+        np.testing.assert_array_equal(flat.gamma(), np.zeros_like(flat.y))
 
 
 class TestPicard:

@@ -1,5 +1,7 @@
 import configparser
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -114,9 +116,11 @@ class TestConfigParsing:
              "problem.beta: set exponents.beta instead"),
             (("name = flat_obstacle", "name = flat_obstacle\nT = 2"), [],
              "problem.t: set grid.horizon instead"),
+            (("name = flat_obstacle", "name = linear_gamma\njump_sizes = 0.1"), [],
+             "problem.jump_sizes: takes a tuple of values"),
         ],
         ids=["kappa", "beta", "seed", "threads", "bogus", "kwargs", "jump_size", "intensity",
-             "problem_p", "problem_eps", "problem_beta", "problem_T"],
+             "problem_p", "problem_eps", "problem_beta", "problem_T", "jump_sizes"],
     )
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, ini_edit, flags, field):
         f = tmp_path / "bad.ini"
@@ -240,6 +244,44 @@ class TestRunModes:
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert f"error {err[0][len('error: '):]}" in manifest
         assert any(line.startswith("timing simulate ") for line in manifest)
+
+    def test_warnings_go_to_manifest(self, tmp_path, capsys):
+        # two levels leave the flat obstacle's penalty error above stop_tol
+        f = tmp_path / "short.ini"
+        f.write_text(with_value("schedule.levels", "2"))
+        out = tmp_path / "out"
+        assert cli.run(f, out_dir=out) == cli.EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: schedule exhausted at n=2.0")
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert [ln for ln in manifest if ln.startswith("warning")] == [
+            f"warning {err[0][len('warning: '):]}"
+        ]
+
+    # p near 1 (s_pA_beta about 3e-67 at p = 1.01), p near 2 and a long horizon
+    @pytest.mark.parametrize(
+        "key, raw", [("exponents.p", "1.01"), ("exponents.p", "1.05"),
+                     ("exponents.p", "1.999"), ("grid.horizon", "40")],
+    )
+    def test_extreme_but_legal_values_give_finite_csvs(self, tmp_path, key, raw):
+        text = CONFIG
+        for k, r in (("problem.name", "american_put_jumps"), ("grid.steps", "20"),
+                     ("mc.paths", "2000"), ("basis.degree", "3"), ("exponents.eps", "0.01"),
+                     ("schedule.levels", "11"), ("schedule.stop_tol", "1e-12"), (key, raw)):
+            text = with_value(k, r, text)
+        f = tmp_path / "extreme.ini"
+        f.write_text(text)
+        out = tmp_path / "out"
+        assert cli.run(f, out_dir=out) == cli.EXIT_OK
+        tables = sorted(out.glob("*.csv"))
+        assert [t.name for t in tables] == [
+            "convergence.csv", "norms.csv", "skorokhod.csv", "solution.csv"
+        ]
+        for table in tables:
+            rows = list(csv.reader(table.read_text().splitlines()))
+            values = [float(cell) for row in rows[1:] for cell in row]
+            assert values and all(math.isfinite(v) for v in values), table.name
+        assert len((out / "convergence.csv").read_text().splitlines()) == 12
 
     def test_seed_override_changes_echo(self, config_file, tmp_path):
         out = tmp_path / "seeded"

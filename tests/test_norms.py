@@ -20,9 +20,9 @@ def constant_solution(bundle, y=0.0, z=0.0, u=(), k=0.0, lam=()):
         y=np.full((n, nodes), y),
         z=np.full((n, nodes), z),
         u=np.broadcast_to(np.asarray(u, dtype=float), (n, nodes, m)).copy(),
-        gamma=np.zeros((n, nodes)),
         k_cum=np.linspace(0.0, k, nodes)[None, :].repeat(n, axis=0),
         k_jump_T=np.zeros(n),
+        obstacle=shell.obstacle,
         run=shell.run,
         mark_weights=shell.mark_weights,
     )
@@ -101,6 +101,25 @@ class TestEstimateNorms:
         assert np.array_equal(back.mark_weights, spec.marks.weights_array())
         rep = rb.estimate_norms(back, bundle, spec.exponents)
         assert np.isfinite(rep.l_p_lambda_beta) and rep.l_p_lambda_beta > 0.0
+
+
+    def test_solution_transforms_carry_the_obstacle(self, basis3):
+        # scaling y and L together scales the penalty error by s^p; mapping
+        # back the normalized solve (R(t) = -0.3 t) restores the obstacle
+        spec = rb.build_problem("american_put", rate=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tspec, norm = rb.normalize_driver(spec)
+        grid = rb.build_grid(1.0, 10)
+        bundle = rb.sample_paths(tspec, grid, 1000, seed=2)
+        sol = rb.solve_penalized(tspec, bundle, basis3, 4.0)
+        err = rb.penalty_error(sol, bundle, tspec)[0]
+        scaled = rb.penalty_error(rb.scale_solution(sol, 2.0), bundle, tspec)[0]
+        assert err > 0.0 and scaled == pytest.approx(2.0**tspec.exponents.p * err, rel=1e-12)
+        back = norm.map_back_solution(sol, grid)
+        L = rb.backward.obstacle_on_grid(spec, bundle)
+        np.testing.assert_allclose(back.obstacle, L, rtol=1e-13, atol=1e-15)
+        assert not np.allclose(sol.obstacle, L)
 
 
 class TestLenglartCheck:

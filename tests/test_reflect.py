@@ -71,6 +71,28 @@ class TestReflectedPenalization:
         assert run.solution.run.picard_iters == 1
         assert run.solution.run.residual_history == (0.0,)
 
+    def test_obstacle_sampled_once_per_sweep(self, put_spec, basis3, monkeypatch):
+        # the penalty errors and Skorokhod reports read the solution's own
+        # obstacle, so only the three backward sweeps sample it
+        calls = {"sweep": 0, "obstacle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (rb.backward, rb.reflect, rb.verify, rb.norms):  # every import of the names
+            for name, attr in (("sweep", "_backward"), ("obstacle", "obstacle_on_grid")):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+        bundle = rb.sample_paths(put_spec, rb.build_grid(1.0, 10), 1000, seed=4)
+        run = rb.solve_reflected_penalization(
+            put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12),
+        )
+        assert len(run.table) == 3
+        assert calls == {"sweep": 3, "obstacle": 3}
+
     def test_overflowing_weights_raise(self, basis3):
         # q = 21 makes zeta^2 = a^{21} large, so e^{(p/2) beta A} overflows
         spec = rb.build_problem("american_put", rate=2.0, p=1.05)

@@ -155,7 +155,7 @@ class TestScaleProblemData:
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 20), 2000, seed=5)
         sol1 = rb.solve_penalized(spec, bundle, basis3, 16.0)
         sol2 = rb.solve_penalized(rb.scale_problem_data(spec, s), bundle, basis3, 16.0)
-        for field in ("y", "z", "u", "gamma", "k_cum", "k_jump_T"):
+        for field in ("y", "z", "u", "k_cum", "k_jump_T", "obstacle"):
             np.testing.assert_array_equal(getattr(sol2, field), s * getattr(sol1, field))
 
 
