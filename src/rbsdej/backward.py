@@ -11,7 +11,7 @@ below tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,12 +55,15 @@ class _FittedPoly:
     degenerate: bool
 
     def __call__(self, x: Array) -> Array:
+        """The fit at states x (n,), for (d+1, k) coeffs: (n, k), column-major."""
+        shape = (x.size, self.coeffs.shape[1])
         if self.degenerate:
-            return np.full(np.shape(x), self.coeffs[0])
-        s = (np.asarray(x, dtype=float) - self.lo) / self.span
-        out = np.zeros(np.shape(x), dtype=float)
+            return np.full(shape, self.coeffs[0])
+        s = ((x - self.lo) / self.span)[:, None]
+        out = np.zeros(shape, order="F")
         for c in self.coeffs[::-1]:
-            out = out * s + c
+            out *= s
+            out += c
         return out
 
 
@@ -275,6 +278,7 @@ def _check_bundle(spec: ProblemSpec, bundle: PathBundle) -> None:
 
 
 StepRule = Callable[[Callable[[Array], Array], Array, Array, float, int], tuple[Array, Array]]
+Observer = Callable[..., None]
 
 
 def _backward(
@@ -285,6 +289,8 @@ def _backward(
     frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
     terminal_jump: Callable[[Array, Array, Array], Array] | None = None,
+    columns: int = 1,
+    observe: Observer | None = None,
 ) -> BackwardSolution:
     """The backward regression sweep shared by every scheme.
 
@@ -295,6 +301,14 @@ def _backward(
     the driver at the step's (z, u). ``terminal_jump(y, L, dK_last)``, when
     given, returns the part of the last increment that is the predictable
     jump of K at T.
+
+    ``columns`` equations (the levels of a penalty schedule) share the
+    sweep: each slice fits all their targets in one solve, and ``step``
+    and the driver see the column-major flattening of the (n, columns)
+    blocks, with x tiled to match. Grids are kept for the last column
+    only. ``observe(i, y_i, L_i, dK_i, targets)`` sees each node's
+    (n, columns) blocks, from i = N (dK_i None) down to 0, and the step-0
+    targets at i = 0.
     """
     if u_estimator not in ("shifted", "compensated"):
         raise ValueError(f"unknown u_estimator {u_estimator!r}")
@@ -303,7 +317,7 @@ def _backward(
     N = grid.n_steps
     steps = grid.steps
     X = bundle.forward_states
-    n_paths = bundle.n_paths
+    n_paths, K = bundle.n_paths, columns
     m = spec.marks.m
     marks = spec.marks.marks_array()
     lam = spec.marks.weights_array()
@@ -321,47 +335,59 @@ def _backward(
     k_inc = np.zeros((n_paths, N), order="F")
     y[:, N] = spec.terminal_values(X[:, N])
     L_nodes = obstacle_on_grid(spec, bundle)
-    y0_stderr = 0.0
-    rhs = np.empty((n_paths, 2 + (m if u_estimator == "compensated" else 0)), order="F")
+    y_next = np.tile(y[:, N], (K, 1)).T  # (n, K), column-major
+    if observe is not None:
+        observe(N, y_next, L_nodes[:, N], None, None)
+    rhs = np.empty((n_paths, K * (2 + (m if u_estimator == "compensated" else 0))), order="F")
 
     for i in range(N - 1, -1, -1):
         t = float(grid.nodes[i])
         dt = float(steps[i])
         xi = np.ascontiguousarray(X[:, i])
-        # targets of the slice, fitted in one solve: the continuation,
-        # the z regressand and, compensated, one jump regressand per mark
-        rhs[:, 0] = y[:, i + 1]
-        rhs[:, 1] = y[:, i + 1] * bundle.brownian_increments[:, i] / dt
+        # targets of the slice, fitted in one solve, K columns each: the
+        # continuation, the z regressand and, compensated, one jump
+        # regressand per mark
+        rhs[:, :K] = y_next
+        rhs[:, K:2 * K] = y_next * bundle.brownian_increments[:, i, None] / dt
         if u_estimator == "compensated":
             for j in range(m):
                 comp = bundle.jump_counts[:, i, j] - lam[j] * dt
-                rhs[:, 2 + j] = y[:, i + 1] * comp / (lam[j] * dt)
+                rhs[:, (2 + j) * K:(3 + j) * K] = y_next * comp[:, None] / (lam[j] * dt)
         try:
             fit, fitted = _fit_slice(xi, rhs, basis)
         except RegressionRankError as exc:
             raise RegressionRankError(f"step {i}: {exc}") from exc
-        c = fitted[:, 0]
-        z[:, i] = fitted[:, 1]
+        c, z_i = np.asfortranarray(fitted[:, :K]), np.asfortranarray(fitted[:, K:2 * K])
         if u_estimator == "shifted":
-            cont = replace(fit, coeffs=fit.coeffs[:, 0])
+            cont = replace(fit, coeffs=fit.coeffs[:, :K])
+            u_i = np.empty((n_paths, K, m), order="F")
             for j in range(m):
                 shifted = xi + np.asarray(
                     spec.forward.jump_size(t, xi, float(marks[j])), dtype=float
                 )
-                u[:, i, j] = cont(shifted) - c
+                u_i[:, :, j] = cont(shifted) - c
         else:
-            u[:, i, :] = fitted[:, 2:]
+            u_i = fitted[:, 2 * K:].reshape(n_paths, m, K).transpose(0, 2, 1)
 
-        zd = frozen_z[:, i] if frozen_zu is not None else z[:, i]
-        ud = frozen_u[:, i, :] if frozen_zu is not None else u[:, i, :]
+        if frozen_zu is not None:
+            zd, ud = np.tile(frozen_z[:, i], K), np.tile(frozen_u[:, i, :], (K, 1))
+        else:
+            zd, ud = z_i.ravel("F"), u_i.reshape((n_paths * K, m), order="F")
+        xd = np.tile(xi, K)
 
         def fy(yv: Array) -> Array:
-            return spec.driver_values(t, xi, yv, zd, ud)
+            return spec.driver_values(t, xd, yv, zd, ud)
 
-        y[:, i], k_inc[:, i] = step(fy, c, L_nodes[:, i], dt, i)
+        y_flat, dk_flat = step(fy, c.ravel("F"), np.tile(L_nodes[:, i], K), dt, i)
+        y_i = y_flat.reshape((n_paths, K), order="F")
+        dk_i = dk_flat.reshape((n_paths, K), order="F")
+        targets = None
         if i == 0:
-            targets = y[:, 1] + dt * fy(y[:, 0]) + k_inc[:, 0]
-            y0_stderr = _norms._mc(targets)[1]
+            targets = y_next + dt * fy(y_flat).reshape((n_paths, K), order="F") + dk_i
+        if observe is not None:
+            observe(i, y_i, L_nodes[:, i], dk_i, targets)
+        y[:, i], z[:, i], u[:, i, :], k_inc[:, i] = y_i[:, -1], z_i[:, -1], u_i[:, -1, :], dk_i[:, -1]
+        y_next = y_i
 
     k_jump_T = np.zeros(n_paths)
     if terminal_jump is not None:
@@ -371,17 +397,23 @@ def _backward(
     k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
     return BackwardSolution(
         y=y, z=z, u=u, k_cum=k_cum, k_jump_T=k_jump_T, obstacle=L_nodes,
-        run=RunRecord(y0_stderr=y0_stderr), mark_weights=lam,
+        run=RunRecord(y0_stderr=_norms._mc(targets[:, -1])[1]), mark_weights=lam,
     )
+
+
+def _single_pass(sol: BackwardSolution) -> BackwardSolution:
+    """Record a pass whose driver ignores (z, u) as its own fixed point."""
+    return replace(sol, run=replace(sol.run, picard_iters=1, residual_history=(0.0,)))
 
 
 def solve_penalized(
     spec: ProblemSpec,
     bundle: PathBundle,
     basis: RegressionBasis,
-    n_penalty: float,
+    n_penalty: float | Sequence[float],
     frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
+    observe: Observer | None = None,
 ) -> BackwardSolution:
     """One backward pass of the penalized scheme at level ``n_penalty``.
 
@@ -395,13 +427,20 @@ def solve_penalized(
     "shifted" (default) evaluates the fitted continuation at jump-shifted
     states; "compensated" regresses y_{i+1} times the compensated count
     increment, a higher-variance route kept for cross-scheme checks.
+
+    A sequence of levels is swept as the columns of one pass (see
+    ``_backward``, which also documents ``observe``); the solution is the
+    last level's.
     """
+    columns = np.size(n_penalty)
+    n_col = n_penalty if np.ndim(n_penalty) == 0 else np.repeat(n_penalty, bundle.n_paths)
 
     def penalty_step(fy, c, L_i, dt, i):
-        y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i)
-        return y_i, n_penalty * dt * np.maximum(L_i - y_i, 0.0)
+        y_i = _solve_implicit_step(fy, c, L_i, dt, n_col, i)
+        return y_i, n_col * dt * np.maximum(L_i - y_i, 0.0)
 
-    return _backward(spec, bundle, basis, penalty_step, frozen_zu, u_estimator)
+    return _backward(spec, bundle, basis, penalty_step, frozen_zu, u_estimator,
+                     columns=columns, observe=observe)
 
 
 def picard_solve(
@@ -429,8 +468,7 @@ def picard_solve(
     from .model import driver_uses_zu
 
     if not driver_uses_zu(spec):
-        sol = solve_penalized(spec, bundle, basis, n_penalty)
-        return replace(sol, run=replace(sol.run, picard_iters=1, residual_history=(0.0,)))
+        return _single_pass(solve_penalized(spec, bundle, basis, n_penalty))
 
     N = bundle.grid.n_steps
     m = spec.marks.m

@@ -56,6 +56,9 @@ from .verify import (
 OUT_DIR_ENV = "RBSDEJ_OUT"
 MODES = ("penalized", "reflected", "oracle", "norms", "verify-all")
 
+# Below this max over paths of A_T the dA-weighted norms are vacuous.
+CLOCK_FLOOR = 1e-8
+
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
@@ -335,12 +338,16 @@ def run(
         )
         if config.mode != "verify-all":
             spec, bundle = _simulate(config, timings)
+        out = Path(out_dir) if out_dir is not None else Path(os.environ.get(OUT_DIR_ENV, "results"))
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out" if out_dir is not None else OUT_DIR_ENV,
+                              f"cannot make directory {str(out)!r}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    out = Path(out_dir) if out_dir is not None else Path(os.environ.get(OUT_DIR_ENV, "results"))
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.ini", "w") as fh:
         dump_config(config, fh)
 
@@ -358,6 +365,10 @@ def run(
                 with open(out / name, "w", newline="") as fh:
                     write(value, fh)
             warnings_ = sol.run.warnings
+            A_T = float(np.max(bundle.A_path[:, -1]))
+            if A_T < CLOCK_FLOOR:
+                warnings_ += (f"weight clock collapsed: max A_T = {A_T!r} < {CLOCK_FLOOR!r}, "
+                              "so the dA-weighted norms are vacuous",)
             for w in warnings_:
                 print(f"warning: {w}", file=sys.stderr)
         ok = error is None

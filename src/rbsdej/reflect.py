@@ -16,10 +16,12 @@ from .backward import (
     RegressionBasis,
     SolverError,
     _backward,
+    _single_pass,
     _solve_implicit_step,
     picard_solve,
+    solve_penalized,
 )
-from .model import EQUALITY_RTOL, ProblemSpec
+from .model import EQUALITY_RTOL, ProblemSpec, driver_uses_zu
 from .norms import _mc
 from .simulate import PathBundle
 
@@ -103,16 +105,23 @@ class ReflectedRun:
     reached_tol: bool
 
 
+def _weighted_shortfall(A: Array, L: Array, y: Array, beta: float) -> Array:
+    """e^{beta A / 2} (L - y)^+ elementwise (broadcast); zero where y >= L,
+    also where the weight alone overflows."""
+    short = np.maximum(L - y, 0.0)
+    w = np.exp(0.5 * beta * A)
+    # inf * 0 would read as NaN: an overflowed weight counts only on a shortfall
+    return np.multiply(w, short, out=short, where=short != 0.0 if np.isinf(w).any() else True)
+
+
 def penalty_error(
     sol: BackwardSolution, bundle: PathBundle, spec: ProblemSpec
 ) -> tuple[float, float]:
     """Weighted sup penalty error, p-th power: MC mean and standard error
-    of max over nodes of e^{(p/2) beta A} ((y - L)^-)^p, with L the
-    obstacle the solution carries."""
-    p = spec.exponents.p
-    beta = spec.exponents.beta
-    w = np.exp(0.5 * p * beta * bundle.A_path)
-    return _mc(np.max(w * np.maximum(sol.obstacle - sol.y, 0.0) ** p, axis=1))
+    of (max over nodes of e^{beta A / 2} (y - L)^-)^p, with L the obstacle
+    the solution carries."""
+    short = _weighted_shortfall(bundle.A_path, sol.obstacle, sol.y, spec.exponents.beta)
+    return _mc(np.max(short, axis=1) ** spec.exponents.p)
 
 
 def _require_finite(
@@ -215,6 +224,51 @@ def skorokhod_report(
     )
 
 
+def _swept_levels(
+    spec: ProblemSpec, bundle: PathBundle, basis: RegressionBasis, schedule: PenalizationSchedule
+) -> tuple[list[PenaltyLevelRow], BackwardSolution]:
+    """Every level of the schedule as a column of one backward sweep; the
+    levels are independent when the driver ignores (z, u).
+
+    Rows before the stopping level come from per-path running sums of the
+    sweep. The stopping level (the first below tolerance, else the last)
+    gets its ``_level_row`` on the solution returned: the last column, or
+    a one-level re-sweep when an earlier level stops. A row's wall_time is
+    an amortised share of the shared sweep.
+    """
+    levels = schedule.n_values
+    acc: dict[str, Array] = {}
+
+    def observe(i, y_i, L_i, dk_i, targets):
+        short = _weighted_shortfall(bundle.A_path[:, i, None], L_i[:, None], y_i, spec.exponents.beta)
+        if dk_i is None:  # terminal node
+            acc.update(sup=short, k_T=0.0, flat=0.0)
+            return
+        np.maximum(acc["sup"], short, out=acc["sup"])
+        acc.update(k_T=acc["k_T"] + dk_i, flat=acc["flat"] + (y_i - L_i[:, None]) * dk_i,
+                   y0=y_i, targets=targets)
+
+    t0 = time.perf_counter()
+    sol = solve_penalized(spec, bundle, basis, levels, observe=observe)
+    share = (time.perf_counter() - t0) / len(levels)
+    rows: list[PenaltyLevelRow] = []
+    for k, n in enumerate(levels[:-1]):
+        err, err_se = _mc(acc["sup"][:, k] ** spec.exponents.p)
+        _require_finite({"penalty error": err}, f"at level n={n!r}", spec, bundle)
+        if err < schedule.stop_tol:
+            t0 = time.perf_counter() - share
+            sol = solve_penalized(spec, bundle, basis, n)
+            break
+        rows.append(PenaltyLevelRow(
+            float(n), err, err_se, float(np.mean(acc["y0"][:, k])), _mc(acc["targets"][:, k])[1],
+            float(np.mean(acc["k_T"][:, k])), abs(float(np.mean(acc["flat"][:, k]))), share,
+        ))
+    else:
+        n, t0 = levels[-1], time.perf_counter() - share
+    rows.append(_level_row(sol, spec, bundle, n, t0))
+    return rows, _single_pass(sol)
+
+
 def solve_reflected_penalization(
     spec: ProblemSpec,
     bundle: PathBundle,
@@ -223,25 +277,26 @@ def solve_reflected_penalization(
 ) -> ReflectedRun:
     """Drive the penalization schedule towards the reflected solution.
 
-    Runs one fixed-point solve per level (a single pass when the driver
-    ignores (z, u)) until the weighted sup penalty error drops below the
-    schedule's tolerance or the schedule is exhausted; the latter is
-    reported through ``reached_tol=False``, not an error. A non-finite
-    penalty error raises SolverError. The final solution has its terminal
-    boundary layer classified as the predictable jump, and carries the
-    Skorokhod report of that split.
+    Solves the levels in order until the weighted sup penalty error drops
+    below the schedule's tolerance or the schedule is exhausted; the
+    latter is reported through ``reached_tol=False``, not an error. A
+    driver that ignores (z, u) has every level swept at once
+    (``_swept_levels``); otherwise each level is a fixed-point solve. A
+    non-finite penalty error raises SolverError. The final solution has
+    its terminal boundary layer classified as the predictable jump, and
+    carries the Skorokhod report of that split.
     """
-    rows: list[PenaltyLevelRow] = []
-    sol: BackwardSolution | None = None
-    reached = False
-    for n in schedule.n_values:
-        t0 = time.perf_counter()
-        sol = picard_solve(spec, bundle, basis, n, tol=PICARD_TOL, max_iter=PICARD_MAX_ITER)
-        rows.append(_level_row(sol, spec, bundle, n, t0))
-        if rows[-1].penalty_error < schedule.stop_tol:
-            reached = True
-            break
-    assert sol is not None
+    if driver_uses_zu(spec):
+        rows: list[PenaltyLevelRow] = []
+        for n in schedule.n_values:
+            t0 = time.perf_counter()
+            sol = picard_solve(spec, bundle, basis, n, tol=PICARD_TOL, max_iter=PICARD_MAX_ITER)
+            rows.append(_level_row(sol, spec, bundle, n, t0))
+            if rows[-1].penalty_error < schedule.stop_tol:
+                break
+    else:
+        rows, sol = _swept_levels(spec, bundle, basis, schedule)
+    reached = rows[-1].penalty_error < schedule.stop_tol
     final_n = rows[-1].n
     extracted = extract_terminal_jump(sol, spec, bundle, final_n)
     warnings_ = extracted.run.warnings

@@ -263,7 +263,7 @@ class TestRunModes:
         "key, raw", [("exponents.p", "1.01"), ("exponents.p", "1.05"),
                      ("exponents.p", "1.999"), ("grid.horizon", "40")],
     )
-    def test_extreme_but_legal_values_give_finite_csvs(self, tmp_path, key, raw):
+    def test_extreme_but_legal_values_give_finite_csvs(self, tmp_path, capsys, key, raw):
         text = CONFIG
         for k, r in (("problem.name", "american_put_jumps"), ("grid.steps", "20"),
                      ("mc.paths", "2000"), ("basis.degree", "3"), ("exponents.eps", "0.01"),
@@ -282,6 +282,13 @@ class TestRunModes:
             values = [float(cell) for row in rows[1:] for cell in row]
             assert values and all(math.isfinite(v) for v in values), table.name
         assert len((out / "convergence.csv").read_text().splitlines()) == 12
+        # p near 1 collapses the weight clock (A_T about 1e-66 at p = 1.01)
+        collapsed = raw in ("1.01", "1.05")
+        warned = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("warning: weight clock collapsed")]
+        assert len(warned) == collapsed
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert any(ln.startswith("warning weight clock collapsed") for ln in manifest) == collapsed
 
     def test_seed_override_changes_echo(self, config_file, tmp_path):
         out = tmp_path / "seeded"
@@ -313,6 +320,46 @@ class TestReproducibility:
     def test_reproducibility_view_strips_wall_time(self):
         text = "# generated 2020\nn,wall_time,x\n1,0.5,2\n"
         assert cli.reproducibility_view(text) == "n,x\n1,2\n"
+
+
+FLAG_CASES = {  # flag -> {value: acceptable}
+    "--seed": {"0": True, "18446744073709551615": True, "-1": False,
+               "18446744073709551616": False, "abc": False, "1.5": False, "": False},
+    "--threads": {"1": True, "2": True, "0": False, "-3": False, "x": False, "": False},
+    "--out": {"new": True, "dir": True, "file": False, "under_file": False},
+}
+FLAG_FIELDS = {"--seed": ("--seed", "mc.seed"), "--threads": ("--threads", "run.threads"),
+               "--out": ("--out",)}
+
+
+class TestFlagFuzz:
+    """Every combination of hostile and legal --seed, --threads and --out
+    exits 0, 1 or 2, and a config error names one of the bad flags."""
+
+    @pytest.mark.parametrize("out_kind", list(FLAG_CASES["--out"]))
+    @pytest.mark.parametrize("threads", list(FLAG_CASES["--threads"]))
+    @pytest.mark.parametrize("seed", list(FLAG_CASES["--seed"]))
+    def test_flags(self, tmp_path, capsys, seed, threads, out_kind):
+        f = tmp_path / "exp.ini"
+        f.write_text(with_value("grid.steps", "20", with_value("schedule.levels", "3")))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("keep")
+        out = {"new": tmp_path / "new", "dir": tmp_path / "dir", "file": tmp_path / "file",
+               "under_file": tmp_path / "file" / "sub"}[out_kind]
+        chosen = {"--seed": seed, "--threads": threads, "--out": out_kind}
+        bad = [flag for flag, value in chosen.items() if not FLAG_CASES[flag][value]]
+        try:
+            code = cli.main(["solve", "--config", str(f), "--out", str(out),
+                             "--seed", seed, "--threads", threads])
+        except SystemExit as exc:  # argparse rejects a value that is not an int
+            code = exc.code
+        assert code in (cli.EXIT_OK, cli.EXIT_SUITE_FAILURE, cli.EXIT_CONFIG_ERROR)
+        assert (code == cli.EXIT_CONFIG_ERROR) == bool(bad)
+        assert (tmp_path / "file").read_text() == "keep"
+        if bad:
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert any(name in err for flag in bad for name in FLAG_FIELDS[flag]), err
+            assert not list(tmp_path.glob("**/config.ini"))
 
 
 class TestMainEntry:

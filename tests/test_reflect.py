@@ -72,8 +72,9 @@ class TestReflectedPenalization:
         assert run.solution.run.residual_history == (0.0,)
 
     def test_obstacle_sampled_once_per_sweep(self, put_spec, basis3, monkeypatch):
-        # the penalty errors and Skorokhod reports read the solution's own
-        # obstacle, so only the three backward sweeps sample it
+        # the three levels are columns of one backward sweep, and the
+        # penalty errors and Skorokhod reports read the solution's own
+        # obstacle, so the obstacle is sampled once
         calls = {"sweep": 0, "obstacle": 0}
 
         def counted(name, fn):
@@ -91,7 +92,7 @@ class TestReflectedPenalization:
             put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12),
         )
         assert len(run.table) == 3
-        assert calls == {"sweep": 3, "obstacle": 3}
+        assert calls == {"sweep": 1, "obstacle": 1}
 
     def test_overflowing_weights_raise(self, basis3):
         # q = 21 makes zeta^2 = a^{21} large, so e^{(p/2) beta A} overflows
@@ -110,6 +111,66 @@ class TestReflectedPenalization:
         )
         assert run.solution.run.picard_iters >= 1
         assert len(run.solution.run.residual_history) >= 1
+
+
+ROW_FIELDS = ("penalty_error", "penalty_error_se", "y0_mean", "y0_stderr", "k_T_mean", "flat_integral")
+
+
+def per_level_reference(spec, bundle, basis, schedule):
+    """The schedule solved one level at a time, with the rows and the
+    terminal-jump split of the reflected run."""
+    rows = []
+    for n in schedule.n_values:
+        sol = rb.solve_penalized(spec, bundle, basis, n)
+        rows.append(rb.reflect._level_row(sol, spec, bundle, n, 0.0))
+        if rows[-1].penalty_error < schedule.stop_tol:
+            break
+    return rows, rb.reflect.extract_terminal_jump(sol, spec, bundle, rows[-1].n)
+
+
+def assert_matches_per_level(run, rows, sol, rtol=1e-12):
+    assert [r.n for r in run.table] == [r.n for r in rows]
+    for got, want in zip(run.table, rows):
+        for name in ROW_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= rtol * abs(b), (got.n, name, a, b)
+    for name in ("y", "z", "u", "k_cum", "k_jump_T", "obstacle"):
+        a, b = getattr(run.solution, name), getattr(sol, name)
+        assert np.max(np.abs(a - b), initial=0.0) <= rtol * np.max(np.abs(b), initial=0.0), name
+
+
+class TestSweptSchedule:
+    """A driver that ignores (z, u) has its whole schedule swept at once;
+    rows and solution must match solving the levels one at a time."""
+
+    @pytest.mark.parametrize("name, steps, paths, degree, levels, stop_tol, n_rows", [
+        ("american_put_jumps", 10, 2000, 3, 6, 1e-12, 6),  # jump-shifted continuations
+        ("flat_obstacle", 100, 8, 0, 11, 1e-3, 11),  # degenerate slices, never reaches tol
+        ("brownian_terminal", 10, 2000, 3, 8, 1e-6, 1),  # stops at level 1: one-level re-sweep
+    ])
+    def test_rows_and_solution_match_per_level_solves(
+        self, name, steps, paths, degree, levels, stop_tol, n_rows
+    ):
+        spec = rb.build_problem(name)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, steps), paths, seed=12)
+        basis = rb.RegressionBasis(degree=degree)
+        schedule = rb.PenalizationSchedule.geometric(1.0, levels, stop_tol)
+        run = rb.solve_reflected_penalization(spec, bundle, basis, schedule)
+        rows, sol = per_level_reference(spec, bundle, basis, schedule)
+        assert len(run.table) == n_rows
+        assert_matches_per_level(run, rows, sol)
+
+    def test_stop_inside_the_schedule_resweeps_that_level(self, put_spec, basis3):
+        bundle = rb.sample_paths(put_spec, rb.build_grid(1.0, 10), 2000, seed=13)
+        full = rb.solve_reflected_penalization(
+            put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 8, 1e-300),
+        )
+        errs = [r.penalty_error for r in full.table]
+        assert errs[3] < min(errs[:3])
+        schedule = rb.PenalizationSchedule.geometric(1.0, 8, errs[3] * (1.0 + 1e-6))
+        run = rb.solve_reflected_penalization(put_spec, bundle, basis3, schedule)
+        assert run.reached_tol and len(run.table) == 4
+        assert_matches_per_level(run, *per_level_reference(put_spec, bundle, basis3, schedule))
 
 
 class TestDPOracle:
