@@ -11,7 +11,7 @@ below tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -187,20 +187,30 @@ def obstacle_on_grid(spec: ProblemSpec, bundle: PathBundle) -> Array:
     return L
 
 
+def _flagged(mask: Array, n_penalty: float | Array) -> tuple[tuple[int, ...], str]:
+    """Index of the first flagged element of an (n,) or (n, K) block, and
+    its path, with its penalty level when the block has several."""
+    at = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    if mask.ndim == 1 or mask.shape[1] == 1:
+        return at, f"path {at[0]}"
+    return at, f"path {at[0]} at level n={float(np.broadcast_to(n_penalty, mask.shape)[at])!r}"
+
+
 def _solve_implicit_step(
     fy: Callable[[Array], Array],
     c: Array,
     L: Array,
     dt: float,
-    n_penalty: float,
+    n_penalty: float | Array,
     step_index: int,
 ) -> Array:
     """Root of y = c + dt f(y) + n dt (y - L)^- for every path at once.
 
-    Closed two-branch form when the driver is affine in y on the step
-    (probed at three spread points) and that form solves the equation to
-    the bisection tolerance; vectorized bisection with bracket expansion
-    otherwise.
+    c is (n,) or an (n, K) block of K equations, with n_penalty a float or
+    one level per column and L broadcasting against c. Closed two-branch
+    form when the driver is affine in y on the step (probed at three
+    spread points) and that form solves the equation to the bisection
+    tolerance; vectorized bisection with bracket expansion otherwise.
     """
 
     def g(yv: Array) -> Array:
@@ -222,11 +232,10 @@ def _solve_implicit_step(
         denom_pen = denom_free + n_penalty * dt
         bad = (denom_free <= 1e-12) | (denom_pen <= 1e-12)
         if np.any(bad):
-            path = int(np.argmax(bad))
-            slope = float(np.asarray(b).reshape(-1)[min(path, np.asarray(b).size - 1)])
+            at, where = _flagged(bad, n_penalty)
             raise SolverError(
-                f"implicit step unstable at step {step_index}, path {path}: "
-                f"driver slope {slope!r} too large for dt={dt!r}"
+                f"implicit step unstable at step {step_index}, {where}: "
+                f"driver slope {float(np.broadcast_to(b, bad.shape)[at])!r} too large for dt={dt!r}"
             )
         y_free = (c + f_at_0 * dt) / denom_free
         y_pen = (c + f_at_0 * dt + n_penalty * dt * L) / denom_pen
@@ -252,10 +261,8 @@ def _solve_implicit_step(
         hi = np.where(bad_hi, hi + width, hi)
         width = hi - lo
     else:
-        path = int(np.argmax((g(lo) > 0.0) | (g(hi) < 0.0)))
-        raise SolverError(
-            f"no bracket for the implicit step at step {step_index}, path {path}"
-        )
+        _, where = _flagged((g(lo) > 0.0) | (g(hi) < 0.0), n_penalty)
+        raise SolverError(f"no bracket for the implicit step at step {step_index}, {where}")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
@@ -290,7 +297,8 @@ def _backward(
     u_estimator: str = "shifted",
     terminal_jump: Callable[[Array, Array, Array], Array] | None = None,
     columns: int = 1,
-    observe: Observer | None = None,
+    observe: Observer = lambda *args: None,
+    obstacle: Array | None = None,
 ) -> BackwardSolution:
     """The backward regression sweep shared by every scheme.
 
@@ -303,12 +311,13 @@ def _backward(
     jump of K at T.
 
     ``columns`` equations (the levels of a penalty schedule) share the
-    sweep: each slice fits all their targets in one solve, and ``step``
-    and the driver see the column-major flattening of the (n, columns)
-    blocks, with x tiled to match. Grids are kept for the last column
-    only. ``observe(i, y_i, L_i, dK_i, targets)`` sees each node's
-    (n, columns) blocks, from i = N (dK_i None) down to 0, and the step-0
-    targets at i = 0.
+    sweep: each slice fits all their targets in one solve, ``step`` sees
+    (n, columns) blocks with L_i as (n, 1), and the driver their
+    column-major flattening, with x tiled to match. Grids are kept for
+    the last column only. ``observe(i, y_i, L_i, dK_i, y0_stderr)`` sees
+    each node's (n, columns) blocks, from i = N (dK_i None) down to 0, and
+    at i = 0 the step-0 target standard error of every column.
+    ``obstacle`` is the sampled L grid, sampled here when not given.
     """
     if u_estimator not in ("shifted", "compensated"):
         raise ValueError(f"unknown u_estimator {u_estimator!r}")
@@ -334,10 +343,10 @@ def _backward(
     u = np.zeros((n_paths, N + 1, m), order="F")
     k_inc = np.zeros((n_paths, N), order="F")
     y[:, N] = spec.terminal_values(X[:, N])
-    L_nodes = obstacle_on_grid(spec, bundle)
+    L_nodes = obstacle_on_grid(spec, bundle) if obstacle is None else obstacle
     y_next = np.tile(y[:, N], (K, 1)).T  # (n, K), column-major
-    if observe is not None:
-        observe(N, y_next, L_nodes[:, N], None, None)
+    y0_stderr = None
+    observe(N, y_next, L_nodes[:, N], None, y0_stderr)
     rhs = np.empty((n_paths, K * (2 + (m if u_estimator == "compensated" else 0))), order="F")
 
     for i in range(N - 1, -1, -1):
@@ -376,16 +385,12 @@ def _backward(
         xd = np.tile(xi, K)
 
         def fy(yv: Array) -> Array:
-            return spec.driver_values(t, xd, yv, zd, ud)
+            return spec.driver_values(t, xd, yv.ravel("F"), zd, ud).reshape(yv.shape, order="F")
 
-        y_flat, dk_flat = step(fy, c.ravel("F"), np.tile(L_nodes[:, i], K), dt, i)
-        y_i = y_flat.reshape((n_paths, K), order="F")
-        dk_i = dk_flat.reshape((n_paths, K), order="F")
-        targets = None
+        y_i, dk_i = step(fy, c, L_nodes[:, i, None], dt, i)
         if i == 0:
-            targets = y_next + dt * fy(y_flat).reshape((n_paths, K), order="F") + dk_i
-        if observe is not None:
-            observe(i, y_i, L_nodes[:, i], dk_i, targets)
+            y0_stderr = [_norms._mc(col)[1] for col in (y_next + dt * fy(y_i) + dk_i).T]
+        observe(i, y_i, L_nodes[:, i], dk_i, y0_stderr)
         y[:, i], z[:, i], u[:, i, :], k_inc[:, i] = y_i[:, -1], z_i[:, -1], u_i[:, -1, :], dk_i[:, -1]
         y_next = y_i
 
@@ -397,7 +402,7 @@ def _backward(
     k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
     return BackwardSolution(
         y=y, z=z, u=u, k_cum=k_cum, k_jump_T=k_jump_T, obstacle=L_nodes,
-        run=RunRecord(y0_stderr=_norms._mc(targets[:, -1])[1]), mark_weights=lam,
+        run=RunRecord(y0_stderr=y0_stderr[-1]), mark_weights=lam,
     )
 
 
@@ -406,14 +411,24 @@ def _single_pass(sol: BackwardSolution) -> BackwardSolution:
     return replace(sol, run=replace(sol.run, picard_iters=1, residual_history=(0.0,)))
 
 
+def _penalty_step(n_penalty: float | Array) -> StepRule:
+    """The penalized scheme's step at level n_penalty: a float, or a (K,)
+    array with one level per column of the sweep."""
+
+    def penalty_step(fy, c, L_i, dt, i):
+        y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i)
+        return y_i, n_penalty * dt * np.maximum(L_i - y_i, 0.0)
+
+    return penalty_step
+
+
 def solve_penalized(
     spec: ProblemSpec,
     bundle: PathBundle,
     basis: RegressionBasis,
-    n_penalty: float | Sequence[float],
+    n_penalty: float,
     frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
-    observe: Observer | None = None,
 ) -> BackwardSolution:
     """One backward pass of the penalized scheme at level ``n_penalty``.
 
@@ -427,20 +442,8 @@ def solve_penalized(
     "shifted" (default) evaluates the fitted continuation at jump-shifted
     states; "compensated" regresses y_{i+1} times the compensated count
     increment, a higher-variance route kept for cross-scheme checks.
-
-    A sequence of levels is swept as the columns of one pass (see
-    ``_backward``, which also documents ``observe``); the solution is the
-    last level's.
     """
-    columns = np.size(n_penalty)
-    n_col = n_penalty if np.ndim(n_penalty) == 0 else np.repeat(n_penalty, bundle.n_paths)
-
-    def penalty_step(fy, c, L_i, dt, i):
-        y_i = _solve_implicit_step(fy, c, L_i, dt, n_col, i)
-        return y_i, n_col * dt * np.maximum(L_i - y_i, 0.0)
-
-    return _backward(spec, bundle, basis, penalty_step, frozen_zu, u_estimator,
-                     columns=columns, observe=observe)
+    return _backward(spec, bundle, basis, _penalty_step(n_penalty), frozen_zu, u_estimator)
 
 
 def picard_solve(

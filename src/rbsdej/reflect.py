@@ -16,10 +16,11 @@ from .backward import (
     RegressionBasis,
     SolverError,
     _backward,
+    _penalty_step,
     _single_pass,
     _solve_implicit_step,
+    obstacle_on_grid,
     picard_solve,
-    solve_penalized,
 )
 from .model import EQUALITY_RTOL, ProblemSpec, driver_uses_zu
 from .norms import _mc
@@ -114,14 +115,58 @@ def _weighted_shortfall(A: Array, L: Array, y: Array, beta: float) -> Array:
     return np.multiply(w, short, out=short, where=short != 0.0 if np.isinf(w).any() else True)
 
 
+class _LevelSums:
+    """Per-path running sums behind the convergence rows of K equations
+    solved together, fed each node's (n, K) blocks from node N (dK None)
+    down to 0: the sup over nodes of e^{beta A / 2} (y - L)^-, K_T,
+    sum (y - L) dK and Y0, plus the step-0 target standard errors."""
+
+    def __init__(self, spec: ProblemSpec, bundle: PathBundle) -> None:
+        self.spec, self.bundle = spec, bundle
+
+    def __call__(self, i, y_i, L_i, dk_i, y0_stderr) -> None:
+        short = _weighted_shortfall(self.bundle.A_path[:, i, None], L_i[:, None], y_i,
+                                    self.spec.exponents.beta)
+        if dk_i is None:
+            self.sup, self.k_T, self.flat = short, 0.0, 0.0
+        else:
+            np.maximum(self.sup, short, out=self.sup)
+            self.k_T, self.flat = self.k_T + dk_i, self.flat + (y_i - L_i[:, None]) * dk_i
+            self.y0, self.y0_stderr = y_i, y0_stderr
+
+    @classmethod
+    def of(cls, sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> "_LevelSums":
+        """The sums of one solution, fed from its grids."""
+        sums = cls(spec, bundle)
+        dk = np.diff(sol.k_cum, axis=1)
+        for i in range(dk.shape[1], -1, -1):
+            sums(i, sol.y[:, i, None], sol.obstacle[:, i],
+                 dk[:, i, None] if i < dk.shape[1] else None, [sol.run.y0_stderr])
+        return sums
+
+    def penalty_error(self, k: int) -> tuple[float, float]:
+        return _mc(self.sup[:, k] ** self.spec.exponents.p)
+
+    def row(self, k: int, n: float, wall_time: float) -> PenaltyLevelRow:
+        """Convergence row of column k, at level n; raises SolverError when
+        the penalty error is not finite."""
+        err, err_se = self.penalty_error(k)
+        _require_finite({"penalty error": err}, f"at level n={n!r}", self.spec, self.bundle)
+        return PenaltyLevelRow(
+            n=float(n), penalty_error=err, penalty_error_se=err_se,
+            y0_mean=float(np.mean(self.y0[:, k])), y0_stderr=self.y0_stderr[k],
+            k_T_mean=float(np.mean(self.k_T[:, k])),
+            flat_integral=abs(float(np.mean(self.flat[:, k]))), wall_time=wall_time,
+        )
+
+
 def penalty_error(
     sol: BackwardSolution, bundle: PathBundle, spec: ProblemSpec
 ) -> tuple[float, float]:
     """Weighted sup penalty error, p-th power: MC mean and standard error
     of (max over nodes of e^{beta A / 2} (y - L)^-)^p, with L the obstacle
     the solution carries."""
-    short = _weighted_shortfall(bundle.A_path, sol.obstacle, sol.y, spec.exponents.beta)
-    return _mc(np.max(short, axis=1) ** spec.exponents.p)
+    return _LevelSums.of(sol, spec, bundle).penalty_error(0)
 
 
 def _require_finite(
@@ -143,15 +188,7 @@ def _level_row(
 ) -> PenaltyLevelRow:
     """Convergence row of a solve at level n that started at perf_counter
     ``t0``; raises SolverError when the penalty error is not finite."""
-    err, err_se = penalty_error(sol, bundle, spec)
-    _require_finite({"penalty error": err}, f"at level n={n!r}", spec, bundle)
-    return PenaltyLevelRow(
-        n=float(n), penalty_error=err, penalty_error_se=err_se,
-        y0_mean=sol.y0_mean(), y0_stderr=sol.run.y0_stderr,
-        k_T_mean=float(np.mean(sol.k_T())),
-        flat_integral=skorokhod_report(sol, spec, bundle).flat_integral,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _LevelSums.of(sol, spec, bundle).row(0, n, time.perf_counter() - t0)
 
 
 def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:
@@ -226,47 +263,39 @@ def skorokhod_report(
 
 def _swept_levels(
     spec: ProblemSpec, bundle: PathBundle, basis: RegressionBasis, schedule: PenalizationSchedule
-) -> tuple[list[PenaltyLevelRow], BackwardSolution]:
-    """Every level of the schedule as a column of one backward sweep; the
-    levels are independent when the driver ignores (z, u).
+) -> tuple[list[PenaltyLevelRow], BackwardSolution, bool]:
+    """The schedule's levels as the columns of sweeps over chunks of 1, 2,
+    4, ... levels, which are independent when the driver ignores (z, u).
+    A chunk is as long as the levels before it plus one, so a stop inside
+    it sweeps at most about twice the columns needed.
 
-    Rows before the stopping level come from per-path running sums of the
-    sweep. The stopping level (the first below tolerance, else the last)
-    gets its ``_level_row`` on the solution returned: the last column, or
-    a one-level re-sweep when an earlier level stops. A row's wall_time is
-    an amortised share of the shared sweep.
+    A row comes from the sums of the sweep that solved its level, and its
+    wall_time is that sweep's per-level share. The first level whose row
+    is below tolerance stops the schedule; when it is not the last column
+    of its chunk it is re-swept alone for its solution, and the last row
+    is the re-sweep's, which can differ from the chunk's by rounding. The
+    stop stands either way. Returns (rows, solution, reached_tol).
     """
-    levels = schedule.n_values
-    acc: dict[str, Array] = {}
+    levels, obstacle = schedule.n_values, obstacle_on_grid(spec, bundle)
 
-    def observe(i, y_i, L_i, dk_i, targets):
-        short = _weighted_shortfall(bundle.A_path[:, i, None], L_i[:, None], y_i, spec.exponents.beta)
-        if dk_i is None:  # terminal node
-            acc.update(sup=short, k_T=0.0, flat=0.0)
-            return
-        np.maximum(acc["sup"], short, out=acc["sup"])
-        acc.update(k_T=acc["k_T"] + dk_i, flat=acc["flat"] + (y_i - L_i[:, None]) * dk_i,
-                   y0=y_i, targets=targets)
+    def sweep(chunk):  # the last level's solution, every level's sums, time per level
+        sums, t0 = _LevelSums(spec, bundle), time.perf_counter()
+        sol = _backward(spec, bundle, basis, _penalty_step(np.array(chunk)),
+                        columns=len(chunk), observe=sums, obstacle=obstacle)
+        return sol, sums, (time.perf_counter() - t0) / len(chunk)
 
-    t0 = time.perf_counter()
-    sol = solve_penalized(spec, bundle, basis, levels, observe=observe)
-    share = (time.perf_counter() - t0) / len(levels)
     rows: list[PenaltyLevelRow] = []
-    for k, n in enumerate(levels[:-1]):
-        err, err_se = _mc(acc["sup"][:, k] ** spec.exponents.p)
-        _require_finite({"penalty error": err}, f"at level n={n!r}", spec, bundle)
-        if err < schedule.stop_tol:
-            t0 = time.perf_counter() - share
-            sol = solve_penalized(spec, bundle, basis, n)
-            break
-        rows.append(PenaltyLevelRow(
-            float(n), err, err_se, float(np.mean(acc["y0"][:, k])), _mc(acc["targets"][:, k])[1],
-            float(np.mean(acc["k_T"][:, k])), abs(float(np.mean(acc["flat"][:, k]))), share,
-        ))
-    else:
-        n, t0 = levels[-1], time.perf_counter() - share
-    rows.append(_level_row(sol, spec, bundle, n, t0))
-    return rows, _single_pass(sol)
+    while len(rows) < len(levels):
+        chunk = levels[len(rows):2 * len(rows) + 1]
+        sol, sums, share = sweep(chunk)
+        for k, n in enumerate(chunk):
+            rows.append(sums.row(k, n, share))
+            if rows[-1].penalty_error < schedule.stop_tol:
+                if k < len(chunk) - 1:
+                    sol, sums, share = sweep(chunk[k:k + 1])
+                    rows[-1] = sums.row(0, n, share)
+                return rows, _single_pass(sol), True
+    return rows, _single_pass(sol), False
 
 
 def solve_reflected_penalization(
@@ -280,7 +309,7 @@ def solve_reflected_penalization(
     Solves the levels in order until the weighted sup penalty error drops
     below the schedule's tolerance or the schedule is exhausted; the
     latter is reported through ``reached_tol=False``, not an error. A
-    driver that ignores (z, u) has every level swept at once
+    driver that ignores (z, u) has its levels swept as columns, in chunks
     (``_swept_levels``); otherwise each level is a fixed-point solve. A
     non-finite penalty error raises SolverError. The final solution has
     its terminal boundary layer classified as the predictable jump, and
@@ -292,11 +321,11 @@ def solve_reflected_penalization(
             t0 = time.perf_counter()
             sol = picard_solve(spec, bundle, basis, n, tol=PICARD_TOL, max_iter=PICARD_MAX_ITER)
             rows.append(_level_row(sol, spec, bundle, n, t0))
-            if rows[-1].penalty_error < schedule.stop_tol:
+            reached = rows[-1].penalty_error < schedule.stop_tol
+            if reached:
                 break
     else:
-        rows, sol = _swept_levels(spec, bundle, basis, schedule)
-    reached = rows[-1].penalty_error < schedule.stop_tol
+        rows, sol, reached = _swept_levels(spec, bundle, basis, schedule)
     final_n = rows[-1].n
     extracted = extract_terminal_jump(sol, spec, bundle, final_n)
     warnings_ = extracted.run.warnings

@@ -72,9 +72,9 @@ class TestReflectedPenalization:
         assert run.solution.run.residual_history == (0.0,)
 
     def test_obstacle_sampled_once_per_sweep(self, put_spec, basis3, monkeypatch):
-        # the three levels are columns of one backward sweep, and the
-        # penalty errors and Skorokhod reports read the solution's own
-        # obstacle, so the obstacle is sampled once
+        # the three levels are swept in chunks [1] and [2, 3] that share
+        # one sampled obstacle, and the penalty errors and Skorokhod
+        # reports read the solution's own obstacle
         calls = {"sweep": 0, "obstacle": 0}
 
         def counted(name, fn):
@@ -92,7 +92,7 @@ class TestReflectedPenalization:
             put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12),
         )
         assert len(run.table) == 3
-        assert calls == {"sweep": 1, "obstacle": 1}
+        assert calls == {"sweep": 2, "obstacle": 1}
 
     def test_overflowing_weights_raise(self, basis3):
         # q = 21 makes zeta^2 = a^{21} large, so e^{(p/2) beta A} overflows
@@ -146,7 +146,7 @@ class TestSweptSchedule:
     @pytest.mark.parametrize("name, steps, paths, degree, levels, stop_tol, n_rows", [
         ("american_put_jumps", 10, 2000, 3, 6, 1e-12, 6),  # jump-shifted continuations
         ("flat_obstacle", 100, 8, 0, 11, 1e-3, 11),  # degenerate slices, never reaches tol
-        ("brownian_terminal", 10, 2000, 3, 8, 1e-6, 1),  # stops at level 1: one-level re-sweep
+        ("brownian_terminal", 10, 2000, 3, 8, 1e-6, 1),  # never binds: stops at level 1
     ])
     def test_rows_and_solution_match_per_level_solves(
         self, name, steps, paths, degree, levels, stop_tol, n_rows
@@ -167,10 +167,40 @@ class TestSweptSchedule:
         )
         errs = [r.penalty_error for r in full.table]
         assert errs[3] < min(errs[:3])
-        schedule = rb.PenalizationSchedule.geometric(1.0, 8, errs[3] * (1.0 + 1e-6))
+        # level 4 opens the chunk [4, 8]; a tolerance one ulp above its
+        # chunk row stops there whatever the re-swept row rounds to
+        schedule = rb.PenalizationSchedule.geometric(1.0, 8, float(np.nextafter(errs[3], np.inf)))
         run = rb.solve_reflected_penalization(put_spec, bundle, basis3, schedule)
         assert run.reached_tol and len(run.table) == 4
-        assert_matches_per_level(run, *per_level_reference(put_spec, bundle, basis3, schedule))
+        assert not any("exhausted" in w for w in run.solution.run.warnings)
+        first_four = rb.PenalizationSchedule(schedule.n_values[:4], 1e-300)
+        assert_matches_per_level(run, *per_level_reference(put_spec, bundle, basis3, first_four))
+
+    @pytest.mark.parametrize("levels, stop_at, columns", [
+        (11, None, [1, 2, 4, 4]),  # never stops: chunks of 1, 2, 4, then the rest
+        (8, 4, [1, 2, 4, 1]),  # stop at the first column of [4, 7]: one re-sweep
+        (8, 3, [1, 2]),  # stop at the last column of [2, 3]: no re-sweep
+    ])
+    def test_early_stop_sweeps_only_its_chunks(self, put_spec, basis3, monkeypatch,
+                                               levels, stop_at, columns):
+        bundle = rb.sample_paths(put_spec, rb.build_grid(1.0, 10), 2000, seed=13)
+        full = rb.solve_reflected_penalization(
+            put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, levels, 1e-300),
+        )
+        tol = 1e-300 if stop_at is None else full.table[stop_at - 1].penalty_error * (1 + 1e-9)
+        swept = []
+
+        def counted(*args, columns=1, **kwargs):
+            swept.append(columns)
+            return backward(*args, columns=columns, **kwargs)
+
+        backward = rb.reflect._backward
+        monkeypatch.setattr(rb.reflect, "_backward", counted)
+        run = rb.solve_reflected_penalization(
+            put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, levels, tol),
+        )
+        assert swept == columns
+        assert len(run.table) == (stop_at or levels)
 
 
 class TestDPOracle:
