@@ -213,23 +213,42 @@ def _solve_implicit_step(
     tolerance; vectorized bisection with bracket expansion otherwise.
     """
 
-    def g(yv: Array) -> Array:
-        return yv - c - dt * fy(yv) - n_penalty * dt * np.maximum(L - yv, 0.0)
+    pen_rate = n_penalty * dt
 
-    h = 1.0 + np.abs(c)
+    # the arithmetic below runs in place where it can (these blocks are the
+    # sweep's largest cost), with the operations of the plain expressions
+    # in the comments, so the results are the same bits
+    def g(yv: Array) -> Array:  # yv - c - dt f(yv) - n dt (L - yv)^+
+        r = yv - c
+        r -= dt * fy(yv)
+        short = L - yv
+        np.maximum(short, 0.0, out=short)
+        short *= pen_rate
+        r -= short
+        return r
+
+    h = np.abs(c)
+    h += 1.0
     f0 = fy(c)
     f1 = fy(c + h)
     f2 = fy(c + 2.6 * h)
-    s1 = (f1 - f0) / h
-    s2 = (f2 - f1) / (1.6 * h)
-    slope_scale = 1.0 + np.abs(s1) + np.abs(s2)
-    affine = np.abs(s2 - s1) <= _AFFINE_RTOL * slope_scale
+    s1 = f1 - f0
+    s1 /= h  # (f1 - f0) / h
+    h *= 1.6
+    s2 = f2 - f1  # f0, f1, f2 may be the driver's own arrays: never written
+    s2 /= h  # (f2 - f1) / (1.6 h)
+    slope_scale = np.abs(s1)
+    slope_scale += 1.0
+    slope_scale += np.abs(s2)
+    np.subtract(s2, s1, out=s2)
+    affine = np.abs(s2, out=s2) <= _AFFINE_RTOL * slope_scale
 
     if np.all(affine):
         b = s1
-        f_at_0 = f0 - b * c
-        denom_free = 1.0 - b * dt
-        denom_pen = denom_free + n_penalty * dt
+        f_at_0 = np.subtract(f0, b * c)
+        denom_free = b * dt
+        np.subtract(1.0, denom_free, out=denom_free)
+        denom_pen = denom_free + pen_rate
         bad = (denom_free <= 1e-12) | (denom_pen <= 1e-12)
         if np.any(bad):
             at, where = _flagged(bad, n_penalty)
@@ -237,16 +256,24 @@ def _solve_implicit_step(
                 f"implicit step unstable at step {step_index}, {where}: "
                 f"driver slope {float(np.broadcast_to(b, bad.shape)[at])!r} too large for dt={dt!r}"
             )
-        y_free = (c + f_at_0 * dt) / denom_free
-        y_pen = (c + f_at_0 * dt + n_penalty * dt * L) / denom_pen
-        y = np.where(y_free >= L, y_free, y_pen)
+        y_free = f_at_0
+        y_free *= dt
+        y_free += c  # c + f(0) dt
+        y = np.multiply(L, pen_rate, out=np.empty_like(c))
+        y += y_free
+        y /= denom_pen  # y_pen = (c + f(0) dt + n dt L) / (1 - b dt + n dt)
+        y_free /= denom_free
         # monotone one-branch consistency; ties land on the obstacle
-        y = np.where((y_free < L) & (y_pen > L), L, y)
+        tie = (y_free < L) & (y > L)
+        np.copyto(y, y_free, where=y_free >= L)
+        np.copyto(y, np.broadcast_to(L, y.shape), where=tie)
         # the probes sit at and above c, so a curvature near a root below
         # them (or one within _AFFINE_RTOL) shows only in the residual;
         # |g(y)| / g'(y) bounds the distance to the root
-        slope = np.where(y < L, denom_pen, denom_free)
-        if np.all(np.abs(g(y)) <= BISECT_TOL * (1.0 + float(np.max(np.abs(y)))) * slope):
+        slope = denom_free  # g'(y)
+        np.copyto(slope, denom_pen, where=y < L)
+        slope *= BISECT_TOL * (1.0 + float(np.max(np.abs(y))))
+        if np.all(np.abs(g(y)) <= slope):
             return y
 
     lo = np.minimum(c, L) - 1.0 - dt * np.abs(f0)
@@ -346,18 +373,21 @@ def _backward(
     L_nodes = obstacle_on_grid(spec, bundle) if obstacle is None else obstacle
     y_next = np.tile(y[:, N], (K, 1)).T  # (n, K), column-major
     y0_stderr = None
-    observe(N, y_next, L_nodes[:, N], None, y0_stderr)
+    observe(N, y_next, np.ascontiguousarray(L_nodes[:, N]), None, y0_stderr)
     rhs = np.empty((n_paths, K * (2 + (m if u_estimator == "compensated" else 0))), order="F")
 
     for i in range(N - 1, -1, -1):
         t = float(grid.nodes[i])
         dt = float(steps[i])
-        xi = np.ascontiguousarray(X[:, i])
+        # contiguous copies of the slice's columns: a strided (n, 1) column
+        # broadcast against an (n, K) block is an order of magnitude slower
+        xi, L_i = np.ascontiguousarray(X[:, i]), np.ascontiguousarray(L_nodes[:, i])
+        dB = np.ascontiguousarray(bundle.brownian_increments[:, i])[:, None]
         # targets of the slice, fitted in one solve, K columns each: the
         # continuation, the z regressand and, compensated, one jump
         # regressand per mark
         rhs[:, :K] = y_next
-        rhs[:, K:2 * K] = y_next * bundle.brownian_increments[:, i, None] / dt
+        rhs[:, K:2 * K] = y_next * dB / dt
         if u_estimator == "compensated":
             for j in range(m):
                 comp = bundle.jump_counts[:, i, j] - lam[j] * dt
@@ -387,10 +417,10 @@ def _backward(
         def fy(yv: Array) -> Array:
             return spec.driver_values(t, xd, yv.ravel("F"), zd, ud).reshape(yv.shape, order="F")
 
-        y_i, dk_i = step(fy, c, L_nodes[:, i, None], dt, i)
+        y_i, dk_i = step(fy, c, L_i[:, None], dt, i)
         if i == 0:
             y0_stderr = [_norms._mc(col)[1] for col in (y_next + dt * fy(y_i) + dk_i).T]
-        observe(i, y_i, L_nodes[:, i], dk_i, y0_stderr)
+        observe(i, y_i, L_i, dk_i, y0_stderr)
         y[:, i], z[:, i], u[:, i, :], k_inc[:, i] = y_i[:, -1], z_i[:, -1], u_i[:, -1, :], dk_i[:, -1]
         y_next = y_i
 

@@ -285,17 +285,20 @@ def _swept_levels(
         return sol, sums, (time.perf_counter() - t0) / len(chunk)
 
     rows: list[PenaltyLevelRow] = []
-    while len(rows) < len(levels):
+    while True:
         chunk = levels[len(rows):2 * len(rows) + 1]
         sol, sums, share = sweep(chunk)
         for k, n in enumerate(chunk):
             rows.append(sums.row(k, n, share))
             if rows[-1].penalty_error < schedule.stop_tol:
                 if k < len(chunk) - 1:
+                    del sol, sums
                     sol, sums, share = sweep(chunk[k:k + 1])
                     rows[-1] = sums.row(0, n, share)
                 return rows, _single_pass(sol), True
-    return rows, _single_pass(sol), False
+        if len(rows) == len(levels):
+            return rows, _single_pass(sol), False
+        del sol, sums  # free this chunk's grids before the next sweep allocates its own
 
 
 def solve_reflected_penalization(

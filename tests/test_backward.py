@@ -226,6 +226,16 @@ class TestSolvePenalized:
         with pytest.raises(rb.SolverError, match="step"):
             rb.solve_penalized(spec, bundle, basis0, 1.0)
 
+    def test_unstable_element_of_a_level_block_named_by_path_and_level(self):
+        # an (n, K) block holds K penalty levels; the error names the path
+        # and the level of the first unstable element, not its flat index
+        slopes = np.zeros((5, 3), order="F")
+        slopes[2, 1] = 100.0
+        c = np.ones((5, 3), order="F")
+        with pytest.raises(rb.SolverError, match=r"step 7, path 2 at level n=2\.0: driver slope 100\.0"):
+            rb.backward._solve_implicit_step(lambda y: slopes * y, c, np.zeros((5, 1)), 0.1,
+                                             np.array([1.0, 2.0, 4.0]), 7)
+
 
 # per-path data of one implicit step: c, L and the driver
 # f(y) = a - b y - k tanh(y), nonincreasing in y and affine where k = 0
