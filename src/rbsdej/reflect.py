@@ -136,7 +136,8 @@ class _LevelSums:
 
     @classmethod
     def of(cls, sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> "_LevelSums":
-        """The sums of one solution, fed from its grids."""
+        """The sums of one solution, fed from its grids; K_T is the sum of
+        the k_cum increments, as a raw penalized solve has no terminal jump."""
         sums = cls(spec, bundle)
         dk = np.diff(sol.k_cum, axis=1)
         for i in range(dk.shape[1], -1, -1):
