@@ -129,7 +129,7 @@ class _LevelSums:
                                     self.spec.exponents.beta)
         if dk_i is None:
             self.sup, self.k_T, self.flat = short, np.zeros_like(short), np.zeros_like(short)
-        else:  # in place: a fresh (n, K) block per node fragments the heap (peak RSS +3%)
+        else:  # in place: a fresh (n, K) block per node fragments the heap and raises peak RSS
             np.maximum(self.sup, short, out=self.sup)
             self.k_T += dk_i
             clearance = y_i - L_i[:, None]
