@@ -67,26 +67,27 @@ class _FittedPoly:
         return out
 
 
-def _fit_slice(
-    states: Array, targets: Array, basis: RegressionBasis
-) -> tuple[_FittedPoly, Array]:
-    """One least-squares solve for every column of ``targets`` on the
-    slice's standardized power basis.
+@dataclass(frozen=True)
+class _SliceFactors:
+    """A slice's standardization and the thin SVD U s Vᵀ of its design:
+    a fit is U (Uᵀ Y), with coefficients ``w`` (Uᵀ Y), w = V / s. ``u`` is
+    None on a degenerate slice, which takes the constant fit."""
 
-    ``targets`` is (n,) or (n, k); the fit's coefficients are (d+1,) or
-    (d+1, k) to match, and the fitted values at ``states`` come back in
-    the shape of ``targets``.
-    """
-    states = np.asarray(states, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    lo: float
+    span: float
+    u: Array | None = None
+    w: Array | None = None
+
+
+def _design(states: Array, basis: RegressionBasis) -> tuple[float, float, Array | None]:
+    """The slice's standardization (lo, span) and its (n, d+1)
+    standardized power design; no design, and span 1, on a degenerate
+    slice."""
     n = states.size
     lo, hi = float(np.min(states)), float(np.max(states))
     span = hi - lo
     if span <= 1e-12 * (1.0 + abs(hi)) or basis.degree == 0:
-        coeffs = np.zeros((basis.degree + 1,) + targets.shape[1:])
-        coeffs[0] = np.mean(targets, axis=0)
-        fitted = np.broadcast_to(coeffs[0], targets.shape).copy()
-        return _FittedPoly(coeffs=coeffs, lo=lo, span=1.0, degenerate=True), fitted
+        return lo, 1.0, None
     cols = basis.degree + 1
     if n < cols:
         raise RegressionRankError(
@@ -100,12 +101,60 @@ def _fit_slice(
     design[:, 1] = (states - lo) / span
     for k in range(2, cols):
         np.multiply(design[:, k - 1], design[:, 1], out=design[:, k])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    return lo, span, design
+
+
+def _check_rank(rank: int, cols: int) -> None:
     if rank < cols:
         raise RegressionRankError(
             f"design matrix rank {rank} < {cols}; reduce the degree"
         )
-    return _FittedPoly(coeffs=coeffs, lo=lo, span=span, degenerate=False), design @ coeffs
+
+
+def _factor_slice(states: Array, basis: RegressionBasis) -> _SliceFactors:
+    """The slice's factors, with the rank ``lstsq`` reads at rcond=None:
+    the singular values above eps·max(n, d+1)·s_max."""
+    lo, span, design = _design(states, basis)
+    if design is None:
+        return _SliceFactors(lo=lo, span=span)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    _check_rank(int(np.sum(s > np.finfo(float).eps * max(design.shape) * s[0])), design.shape[1])
+    return _SliceFactors(lo=lo, span=span, u=u, w=vt.T / s)
+
+
+def _fit_slice(
+    states: Array, targets: Array, basis: RegressionBasis,
+    fits: dict[int, _SliceFactors] | None = None, key: int = 0,
+) -> tuple[_FittedPoly, Array]:
+    """One least-squares solve for every column of ``targets`` on the
+    slice's standardized power basis.
+
+    ``targets`` is (n,) or (n, k); the fit's coefficients are (d+1,) or
+    (d+1, k) to match, and the fitted values at ``states`` come back in
+    the shape of ``targets``. Without a factor store ``fits`` the solve is
+    one ``lstsq``; with one, the slice is factored once under ``key`` and
+    every later fit on the same states reuses its factors.
+    """
+    states = np.asarray(states, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if fits is None:
+        lo, span, design = _design(states, basis)
+        if design is not None:
+            coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+            _check_rank(rank, design.shape[1])
+            return _FittedPoly(coeffs=coeffs, lo=lo, span=span, degenerate=False), design @ coeffs
+    else:
+        if key not in fits:
+            fits[key] = _factor_slice(states, basis)
+        f = fits[key]
+        lo = f.lo
+        if f.u is not None:
+            g = f.u.T @ targets
+            return _FittedPoly(coeffs=f.w @ g, lo=lo, span=f.span, degenerate=False), f.u @ g
+    coeffs = np.zeros((basis.degree + 1,) + targets.shape[1:])
+    coeffs[0] = np.mean(targets, axis=0)
+    fitted = np.broadcast_to(coeffs[0], targets.shape).copy()
+    return _FittedPoly(coeffs=coeffs, lo=lo, span=1.0, degenerate=True), fitted
 
 
 def condexp_regression(
@@ -326,6 +375,7 @@ def _backward(
     columns: int = 1,
     observe: Observer = lambda *args: None,
     obstacle: Array | None = None,
+    fits: dict[int, _SliceFactors] | None = None,
 ) -> BackwardSolution:
     """The backward regression sweep shared by every scheme.
 
@@ -345,6 +395,8 @@ def _backward(
     each node's (n, columns) blocks, from i = N (dK_i None) down to 0, and
     at i = 0 the step-0 target standard error of every column.
     ``obstacle`` is the sampled L grid, sampled here when not given.
+    ``fits`` is a factor store (see ``_fit_slice``) for callers that
+    sweep one bundle several times with one basis; it is keyed by step.
     """
     if u_estimator not in ("shifted", "compensated"):
         raise ValueError(f"unknown u_estimator {u_estimator!r}")
@@ -393,7 +445,7 @@ def _backward(
                 comp = bundle.jump_counts[:, i, j] - lam[j] * dt
                 rhs[:, (2 + j) * K:(3 + j) * K] = y_next * comp[:, None] / (lam[j] * dt)
         try:
-            fit, fitted = _fit_slice(xi, rhs, basis)
+            fit, fitted = _fit_slice(xi, rhs, basis, fits, i)
         except RegressionRankError as exc:
             raise RegressionRankError(f"step {i}: {exc}") from exc
         c, z_i = np.asfortranarray(fitted[:, :K]), np.asfortranarray(fitted[:, K:2 * K])
@@ -495,9 +547,14 @@ def picard_solve(
     single pass with residual history (0.0,). Three consecutive
     non-decreasing residuals raise a non-contraction warning into the run
     record.
+
+    The iterates share one sampled obstacle, one factorization of each
+    regression slice and the contraction norm's weights.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     from .model import driver_uses_zu
 
     if not driver_uses_zu(spec):
@@ -505,21 +562,19 @@ def picard_solve(
 
     N = bundle.grid.n_steps
     m = spec.marks.m
-    prev_y = np.zeros((bundle.n_paths, N + 1))
-    prev_z = np.zeros((bundle.n_paths, N + 1))
-    prev_u = np.zeros((bundle.n_paths, N + 1, m))
+    prev_y = np.zeros((bundle.n_paths, N + 1), order="F")
+    prev_z = np.zeros((bundle.n_paths, N + 1), order="F")
+    prev_u = np.zeros((bundle.n_paths, N + 1, m), order="F")
+    obstacle, fits = obstacle_on_grid(spec, bundle), {}
+    weights = _norms._ContractionWeights(bundle, spec.exponents)
+    lam = spec.marks.weights_array()
     residuals: list[float] = []
     warnings_: list[str] = []
-    sol: BackwardSolution | None = None
-    iters = 0
     for k in range(1, max_iter + 1):
-        sol = solve_penalized(spec, bundle, basis, n_penalty, frozen_zu=(prev_z, prev_u))
-        d = _norms.weighted_distance(
-            sol.y - prev_y, sol.z - prev_z, sol.u - prev_u,
-            bundle, spec.exponents, spec.marks.weights_array(),
-        )
+        sol = _backward(spec, bundle, basis, _penalty_step(n_penalty), frozen_zu=(prev_z, prev_u),
+                        obstacle=obstacle, fits=fits)
+        d = weights.distance(sol.y - prev_y, sol.z - prev_z, sol.u - prev_u, lam)
         residuals.append(d)
-        iters = k
         prev_y, prev_z, prev_u = sol.y, sol.z, sol.u
         if len(residuals) >= 4 and all(
             residuals[-j] >= residuals[-j - 1] for j in (1, 2, 3)
@@ -533,10 +588,9 @@ def picard_solve(
             break
     else:
         warnings_.append(f"picard iteration hit max_iter={max_iter} above tol")
-    assert sol is not None
     run = replace(
         sol.run,
-        picard_iters=iters,
+        picard_iters=k,
         residual_history=tuple(residuals),
         warnings=tuple(warnings_),
     )

@@ -68,14 +68,42 @@ def _mc(per_path: Array) -> tuple[float, float]:
     return mean, se
 
 
+def _weights(bundle, exponents) -> tuple[Array, Array]:
+    """The norms' weights e^{(p/2) beta A} and e^{beta A} at every (path, node)."""
+    A = bundle.A_path
+    return np.exp(0.5 * exponents.p * exponents.beta * A), np.exp(exponents.beta * A)
+
+
+class _ContractionWeights:
+    """The weights of the contraction norm on one bundle, built once for
+    many distances: e^{(p/2) beta A} dA and e^{beta A} dt on the left
+    endpoints, column-major to match the solution grids."""
+
+    def __init__(self, bundle, exponents: Exponents) -> None:
+        w_half, w_full = _weights(bundle, exponents)
+        self.p = exponents.p
+        self.y_dA = np.asfortranarray(w_half[:, :-1] * np.diff(bundle.A_path, axis=1))
+        self.dt = np.asfortranarray(w_full[:, :-1] * bundle.grid.steps)
+
+    def distance(self, dy: Array, dz: Array, du: Array, lam: Array) -> float:
+        """The p-th root of the summed y-in-dA, z and u energies of the
+        difference fields (``lam`` holds the mark weights)."""
+        p = self.p
+        total = float(np.mean(np.sum(self.y_dA * np.abs(dy[:, :-1]) ** p, axis=1)))
+        total += float(np.mean(np.sum(self.dt * dz[:, :-1] ** 2, axis=1) ** (p / 2.0)))
+        if du.shape[2]:
+            u2l = sum(lam[j] * du[:, :-1, j] ** 2 for j in range(du.shape[2]))
+            total += float(np.mean(np.sum(self.dt * u2l, axis=1) ** (p / 2.0)))
+        return total ** (1.0 / p)
+
+
 def _norm_parts(y, z, u, k_total, bundle, exponents, lam):
     """Per-path values of each norm, before averaging; ``lam`` holds the
     mark weights."""
-    p, beta = exponents.p, exponents.beta
+    p = exponents.p
     A = bundle.A_path
     steps = bundle.grid.steps
-    w_half = np.exp(0.5 * p * beta * A)
-    w_full = np.exp(beta * A)
+    w_half, w_full = _weights(bundle, exponents)
     lam = np.asarray(lam, dtype=float)
 
     sup_term = np.max(w_half * np.abs(y) ** p, axis=1)
@@ -160,10 +188,7 @@ def weighted_distance(
 ) -> float:
     """Distance between iterates in the contraction norm: the p-th root of
     the summed y-in-dA, z and u energies of the difference fields."""
-    zeros = np.zeros(dy.shape[0])
-    _, sa, h, ll, _, _ = _norm_parts(dy, dz, du, zeros, bundle, exponents, mark_weights)
-    total = float(np.mean(sa) + np.mean(h) + np.mean(ll))
-    return total ** (1.0 / exponents.p)
+    return _ContractionWeights(bundle, exponents).distance(dy, dz, du, mark_weights)
 
 
 def scale_solution(sol: "BackwardSolution", s: float) -> "BackwardSolution":

@@ -278,14 +278,16 @@ def _swept_levels(
     is below tolerance stops the schedule; when it is not the last column
     of its chunk it is re-swept alone for its solution, and the last row
     is the re-sweep's, which can differ from the chunk's by rounding. The
-    stop stands either way. Returns (rows, solution, reached_tol).
+    stop stands either way. The sweeps share one sampled obstacle and one
+    factorization of each regression slice. Returns (rows, solution,
+    reached_tol).
     """
-    levels, obstacle = schedule.n_values, obstacle_on_grid(spec, bundle)
+    levels, obstacle, fits = schedule.n_values, obstacle_on_grid(spec, bundle), {}
 
     def sweep(chunk):  # the last level's solution, every level's sums, time per level
         sums, t0 = _LevelSums(spec, bundle), time.perf_counter()
         sol = _backward(spec, bundle, basis, _penalty_step(np.array(chunk)),
-                        columns=len(chunk), observe=sums, obstacle=obstacle)
+                        columns=len(chunk), observe=sums, obstacle=obstacle, fits=fits)
         return sol, sums, (time.perf_counter() - t0) / len(chunk)
 
     rows: list[PenaltyLevelRow] = []

@@ -97,12 +97,24 @@ class TestSliceFit:
             states**3 + rng.standard_normal(2000), rng.standard_normal(2000),
         ])
         basis = rb.RegressionBasis(degree=4)
-        fit, fitted = rb.backward._fit_slice(states, targets, basis)
-        assert fit.coeffs.shape == (5, 4) and fitted.shape == (2000, 4)
-        for k in range(4):
-            coeffs, one = rb.condexp_regression(targets[:, k], states, basis)
-            assert np.max(np.abs(fit.coeffs[:, k] - coeffs)) <= 1e-12 * (1.0 + np.max(np.abs(coeffs)))
-            assert np.max(np.abs(fitted[:, k] - one)) <= 1e-12
+
+        def assert_matches_one_shot(fit, fitted, targets):
+            assert fit.coeffs.shape == (5, 4) and fitted.shape == (2000, 4)
+            for k in range(4):
+                coeffs, one = rb.condexp_regression(targets[:, k], states, basis)
+                assert np.max(np.abs(fit.coeffs[:, k] - coeffs)) <= 1e-12 * (1.0 + np.max(np.abs(coeffs)))
+                assert np.max(np.abs(fitted[:, k] - one)) <= 1e-12
+
+        assert_matches_one_shot(*rb.backward._fit_slice(states, targets, basis), targets)
+        # with a factor store the first fit factors the slice and a later
+        # fit of new targets reuses the factors
+        fits = {}
+        assert_matches_one_shot(*rb.backward._fit_slice(states, targets, basis, fits, 7), targets)
+        factors = fits[7]
+        assert list(fits) == [7] and factors.u.shape == (2000, 5)
+        later = np.cos(targets[:, ::-1] + states[:, None])
+        assert_matches_one_shot(*rb.backward._fit_slice(states, later, basis, fits, 7), later)
+        assert list(fits) == [7] and fits[7] is factors
 
     @pytest.mark.parametrize("u_estimator", ["shifted", "compensated"])
     def test_sweep_matches_per_target_reference(self, u_estimator):
@@ -120,8 +132,20 @@ class TestSliceFit:
         # on the last slice, so a cubic basis is rank short there
         spec = rb.build_problem("pure_jump_counter", intensity=0.5)
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 200, seed=1)
-        with pytest.raises(rb.RegressionRankError, match=r"^step \d+: design matrix rank"):
-            rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=3), 4.0)
+        basis = rb.RegressionBasis(degree=3)
+        rank_short = pytest.raises(rb.RegressionRankError, match=r"^step \d+: design matrix rank")
+        with rank_short:
+            rb.solve_penalized(spec, bundle, basis, 4.0)
+        # the factored fits of the swept schedule (a driver that ignores
+        # (z, u)) and of the Picard iterates (one that reads z) read the
+        # same rank
+        with rank_short:
+            rb.solve_reflected_penalization(spec, bundle, basis,
+                                            rb.PenalizationSchedule.geometric(1.0, 3, 1e-12))
+        z_spec = replace(spec, driver=lambda t, x, y, z, u: 0.1 * np.asarray(z, dtype=float))
+        assert rb.model.driver_uses_zu(z_spec)
+        with rank_short:
+            rb.picard_solve(z_spec, bundle, basis, 4.0)
 
 
 class TestTruncateQn:
@@ -364,6 +388,17 @@ class TestPicard:
         res = pic.run.residual_history
         ratios = [res[i + 1] / res[i] for i in range(len(res) - 1) if res[i] > 1e-9]
         assert ratios and max(ratios) < 1.0
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+        ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"), ({"tol": float("nan")}, "tol"),
+    ])
+    def test_bad_arguments_named(self, kwargs, field):
+        # a NaN tol must not run to max_iter and read as "not converged"
+        spec = rb.build_problem("linear_z")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 5), 100, seed=3)
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            rb.picard_solve(spec, bundle, rb.RegressionBasis(degree=2), 4.0, **kwargs)
 
     def test_residual_history_ordered(self):
         spec = rb.build_problem("linear_z", coef=0.4)

@@ -122,6 +122,29 @@ class TestEstimateNorms:
         assert not np.allclose(sol.obstacle, L)
 
 
+class TestWeightedDistance:
+    @pytest.mark.parametrize("name", ["linear_z", "linear_gamma"])  # m = 0 and m = 2
+    def test_matches_the_norm_parts(self, name):
+        # the contraction distance is the p-th root of the summed means of
+        # the y-in-dA, z and compensator-u terms that estimate_norms uses
+        spec = rb.build_problem(name)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=6)
+        basis, lam = rb.RegressionBasis(degree=2), spec.marks.weights_array()
+        a, b = (rb.solve_penalized(spec, bundle, basis, n) for n in (4.0, 8.0))
+        diffs = [
+            (b.y - a.y, b.z - a.z, b.u - a.u),
+            (np.zeros_like(a.y), np.zeros_like(a.z), np.zeros_like(a.u)),
+            (b.y - a.y, np.zeros_like(a.z), b.u - a.u),
+        ]
+        assert a.u.shape[2] == (2 if name == "linear_gamma" else 0)
+        for dy, dz, du in diffs:
+            got = rb.weighted_distance(dy, dz, du, bundle, spec.exponents, lam)
+            _, sa, h, ll, _, _ = rb.norms._norm_parts(
+                dy, dz, du, np.zeros(bundle.n_paths), bundle, spec.exponents, lam)
+            want = float(np.mean(sa) + np.mean(h) + np.mean(ll)) ** (1.0 / spec.exponents.p)
+            assert abs(got - want) <= 1e-13 * want
+
+
 class TestLenglartCheck:
     def test_zero_field(self, counter_bundle, zero_beta_exponents):
         sol = constant_solution(counter_bundle, u=(0.0,), lam=(2.0,))

@@ -71,11 +71,11 @@ class TestReflectedPenalization:
         assert run.solution.run.picard_iters == 1
         assert run.solution.run.residual_history == (0.0,)
 
-    def test_obstacle_sampled_once_per_sweep(self, put_spec, basis3, monkeypatch):
-        # the three levels are swept in chunks [1] and [2, 3] that share
-        # one sampled obstacle, and the penalty errors and Skorokhod
-        # reports read the solution's own obstacle
-        calls = {"sweep": 0, "obstacle": 0}
+    @staticmethod
+    def counted_calls(monkeypatch):
+        """Counts of backward sweeps, obstacle samples and slice
+        factorizations, through every import of the names."""
+        calls = {"sweep": 0, "obstacle": 0, "factor": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -83,16 +83,33 @@ class TestReflectedPenalization:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (rb.backward, rb.reflect, rb.verify, rb.norms):  # every import of the names
-            for name, attr in (("sweep", "_backward"), ("obstacle", "obstacle_on_grid")):
+        names = (("sweep", "_backward"), ("obstacle", "obstacle_on_grid"), ("factor", "_factor_slice"))
+        for module in (rb.backward, rb.reflect, rb.verify, rb.norms):
+            for name, attr in names:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+        return calls
+
+    def test_obstacle_sampled_once_per_sweep(self, put_spec, basis3, monkeypatch):
+        # the three levels are swept in chunks [1] and [2, 3] that share
+        # one sampled obstacle and one factorization of each of the 10
+        # slices, and the penalty errors and Skorokhod reports read the
+        # solution's own obstacle
+        calls = self.counted_calls(monkeypatch)
         bundle = rb.sample_paths(put_spec, rb.build_grid(1.0, 10), 1000, seed=4)
         run = rb.solve_reflected_penalization(
             put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12),
         )
         assert len(run.table) == 3
-        assert calls == {"sweep": 2, "obstacle": 1}
+        assert calls == {"sweep": 2, "obstacle": 1, "factor": 10}
+
+    def test_picard_samples_the_obstacle_and_factors_each_slice_once(self, basis3, monkeypatch):
+        calls = self.counted_calls(monkeypatch)
+        spec = rb.build_problem("linear_gamma")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=4)
+        sol = rb.picard_solve(spec, bundle, basis3, 16.0, tol=1e-12, max_iter=6)
+        assert sol.run.picard_iters >= 3
+        assert calls == {"sweep": sol.run.picard_iters, "obstacle": 1, "factor": 10}
 
     def test_overflowing_weights_raise(self, basis3):
         # q = 21 makes zeta^2 = a^{21} large, so e^{(p/2) beta A} overflows
