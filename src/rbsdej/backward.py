@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import norms as _norms
-from .model import ProblemSpec
+from .model import ProblemSpec, _running_sum
 from .simulate import PathBundle
 
 Array = np.ndarray
@@ -425,16 +425,14 @@ def _backward(
     L_nodes = obstacle_on_grid(spec, bundle) if obstacle is None else obstacle
     y_next = np.tile(y[:, N], (K, 1)).T  # (n, K), column-major
     y0_stderr = None
-    observe(N, y_next, np.ascontiguousarray(L_nodes[:, N]), None, y0_stderr)
+    observe(N, y_next, L_nodes[:, N], None, y0_stderr)
     rhs = np.empty((n_paths, K * (2 + (m if u_estimator == "compensated" else 0))), order="F")
 
     for i in range(N - 1, -1, -1):
         t = float(grid.nodes[i])
         dt = float(steps[i])
-        # contiguous copies of the slice's columns: a strided (n, 1) column
-        # broadcast against an (n, K) block is an order of magnitude slower
-        xi, L_i = np.ascontiguousarray(X[:, i]), np.ascontiguousarray(L_nodes[:, i])
-        dB = np.ascontiguousarray(bundle.brownian_increments[:, i])[:, None]
+        xi, L_i = X[:, i], L_nodes[:, i]
+        dB = bundle.brownian_increments[:, i, None]
         # targets of the slice, fitted in one solve, K columns each: the
         # continuation, the z regressand and, compensated, one jump
         # regressand per mark
@@ -480,10 +478,8 @@ def _backward(
     if terminal_jump is not None:
         k_jump_T = terminal_jump(y, L_nodes, k_inc[:, -1])
         k_inc[:, -1] -= k_jump_T
-    k_cum = np.zeros((n_paths, N + 1))
-    k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
     return BackwardSolution(
-        y=y, z=z, u=u, k_cum=k_cum, k_jump_T=k_jump_T, obstacle=L_nodes,
+        y=y, z=z, u=u, k_cum=_running_sum(k_inc), k_jump_T=k_jump_T, obstacle=L_nodes,
         run=RunRecord(y0_stderr=y0_stderr[-1]), mark_weights=lam,
     )
 
@@ -495,7 +491,10 @@ def _single_pass(sol: BackwardSolution) -> BackwardSolution:
 
 def _penalty_step(n_penalty: float | Array) -> StepRule:
     """The penalized scheme's step at level n_penalty: a float, or a (K,)
-    array with one level per column of the sweep."""
+    array with one level per column of the sweep. Raises ValueError on a
+    level that is negative or not finite."""
+    if not np.all((np.asarray(n_penalty) >= 0.0) & np.isfinite(n_penalty)):
+        raise ValueError(f"n_penalty must be nonnegative and finite, got {n_penalty!r}")
 
     def penalty_step(fy, c, L_i, dt, i):
         y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i)
@@ -555,6 +554,7 @@ def picard_solve(
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    step = _penalty_step(n_penalty)
     from .model import driver_uses_zu
 
     if not driver_uses_zu(spec):
@@ -571,7 +571,7 @@ def picard_solve(
     residuals: list[float] = []
     warnings_: list[str] = []
     for k in range(1, max_iter + 1):
-        sol = _backward(spec, bundle, basis, _penalty_step(n_penalty), frozen_zu=(prev_z, prev_u),
+        sol = _backward(spec, bundle, basis, step, frozen_zu=(prev_z, prev_u),
                         obstacle=obstacle, fits=fits)
         d = weights.distance(sol.y - prev_y, sol.z - prev_z, sol.u - prev_u, lam)
         residuals.append(d)

@@ -165,11 +165,17 @@ def cumulative_A(grid: "TimeGrid | Array", zeta2_steps: Array) -> Array:
         )
     if np.any(z <= 0.0):
         raise AssumptionError("zeta^2 must stay strictly positive (a^2 >= eps > 0)")
-    inc = z * steps
-    out_shape = z.shape[:-1] + (steps.size + 1,)
-    A = np.zeros(out_shape, dtype=float)
-    A[..., 1:] = np.cumsum(inc, axis=-1)
-    return A
+    return _running_sum(z * steps)
+
+
+def _running_sum(inc: Array) -> Array:
+    """Zero, then the running sums of ``inc`` along its last axis, column by
+    column: ``np.cumsum``'s order, so the same bits, on contiguous columns."""
+    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,), order="F")
+    out[..., 1:2] = inc[..., :1]
+    for i in range(1, inc.shape[-1]):
+        np.add(out[..., i], inc[..., i], out=out[..., i + 1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -496,15 +502,12 @@ class DriverNormalization:
     def map_back_solution(self, sol, grid):
         """Undo the transform on a BackwardSolution computed on ``grid``."""
         g = np.exp(-self.log_factor(grid.nodes))  # e^{-R(t_i)}
-        k_inc = np.diff(sol.k_cum, axis=1) * g[:-1]
-        k_cum = np.zeros_like(sol.k_cum)
-        k_cum[:, 1:] = np.cumsum(k_inc, axis=1)
         return replace(
             sol,
             y=sol.y * g,
             z=sol.z * g,
             u=sol.u * g[None, :, None],
-            k_cum=k_cum,
+            k_cum=_running_sum(np.diff(sol.k_cum, axis=1) * g[:-1]),
             k_jump_T=sol.k_jump_T * g[-1],
             obstacle=sol.obstacle * g,
         )

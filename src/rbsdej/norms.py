@@ -77,13 +77,13 @@ def _weights(bundle, exponents) -> tuple[Array, Array]:
 class _ContractionWeights:
     """The weights of the contraction norm on one bundle, built once for
     many distances: e^{(p/2) beta A} dA and e^{beta A} dt on the left
-    endpoints, column-major to match the solution grids."""
+    endpoints, in the bundle's layout."""
 
     def __init__(self, bundle, exponents: Exponents) -> None:
         w_half, w_full = _weights(bundle, exponents)
         self.p = exponents.p
-        self.y_dA = np.asfortranarray(w_half[:, :-1] * np.diff(bundle.A_path, axis=1))
-        self.dt = np.asfortranarray(w_full[:, :-1] * bundle.grid.steps)
+        self.y_dA = w_half[:, :-1] * np.diff(bundle.A_path, axis=1)
+        self.dt = w_full[:, :-1] * bundle.grid.steps
 
     def distance(self, dy: Array, dz: Array, du: Array, lam: Array) -> float:
         """The p-th root of the summed y-in-dA, z and u energies of the

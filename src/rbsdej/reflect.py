@@ -49,14 +49,14 @@ class PenalizationSchedule:
     stop_tol: float
 
     def __post_init__(self) -> None:
-        if self.stop_tol <= 0.0:
-            raise ValueError("stop_tol must be positive")
+        if not 0.0 < self.stop_tol < np.inf:
+            raise ValueError(f"stop_tol must be positive and finite, got {self.stop_tol!r}")
         if not self.n_values:
             raise ValueError("schedule needs at least one level")
+        if not all(0.0 < n < np.inf for n in self.n_values):
+            raise ValueError(f"n_values must be positive and finite, got {self.n_values!r}")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("penalty levels must be strictly increasing")
-        if self.n_values[0] <= 0.0 or not np.isfinite(self.n_values[-1]):
-            raise ValueError("penalty levels must be positive and finite")
 
     @classmethod
     def geometric(cls, n0: float = 1.0, levels: int = 11, stop_tol: float = 1e-3) -> "PenalizationSchedule":
@@ -233,7 +233,7 @@ def extract_terminal_jump(
     ind = _terminal_jump_indicator(spec, bundle)
     layer_mass = sol.k_cum[:, -1] - sol.k_cum[:, w_start]
     jump = np.where(ind, layer_mass, 0.0)
-    k_cum = sol.k_cum.copy()
+    k_cum = sol.k_cum.copy(order="K")
     tail = k_cum[:, w_start:]
     k_cum[:, w_start:] = np.where(
         ind[:, None], np.minimum(tail, k_cum[:, w_start][:, None]), tail

@@ -81,6 +81,8 @@ class CoefficientPaths:
 
 @dataclass(frozen=True)
 class PathBundle:
+    """Every (path, node) grid is column-major: a node's column is contiguous."""
+
     grid: TimeGrid
     n_paths: int
     brownian_increments: Array  # (n_paths, N)
@@ -135,8 +137,8 @@ def sample_paths(
     lam = spec.marks.weights_array()
     marks = spec.marks.marks_array()
 
-    dW = np.empty((n_paths, N), dtype=float)
-    counts = np.empty((n_paths, N, m), dtype=np.int64)
+    dW = np.empty((n_paths, N), order="F")
+    counts = np.empty((n_paths, N, m), dtype=np.int64, order="F")
     blocks = [(b, min(BLOCK, n_paths - b * BLOCK)) for b in range((n_paths + BLOCK - 1) // BLOCK)]
 
     def fill(arg):
@@ -152,7 +154,7 @@ def sample_paths(
         for arg in blocks:
             fill(arg)
 
-    X = np.empty((n_paths, N + 1), dtype=float)
+    X = np.empty((n_paths, N + 1), order="F")
     X[:, 0] = spec.forward.x0
     with np.errstate(all="ignore"):
         for i in range(N):
@@ -170,8 +172,7 @@ def sample_paths(
 
     q = spec.exponents.q
     eps = spec.exponents.eps
-    shape = (n_paths, N + 1)
-    cp = {k: np.empty(shape) for k in ("alpha", "eta", "delta", "phi", "varphi")}
+    cp = {k: np.empty_like(X) for k in ("alpha", "eta", "delta", "phi", "varphi")}
     ok = np.all(np.isfinite(X), axis=1)
     x_safe = np.where(np.isfinite(X), X, spec.forward.x0)
     for i in range(N + 1):
@@ -254,7 +255,7 @@ def load_bundle(path: str | Path) -> PathBundle:
 
         def rd(section, shape, dtype="<f8"):
             buf = read(int(np.prod(shape)) * 8, section)
-            return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            return np.frombuffer(buf, dtype=dtype).reshape(shape).copy(order="F")
 
         nodes = rd("nodes", (N + 1,))
         dW = rd("brownian_increments", (n_paths, N))

@@ -250,14 +250,17 @@ def data_norms(sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> 
     """Aggregate data size of a solve: terminal p-norm, inhomogeneity
     integral and weighted obstacle supremum (the right-hand side of the
     stability bound), p-th powers summed. The terminal values are the
-    solution's last column and the obstacle is the one it carries."""
+    solution's last column, the obstacle is the one it carries and the
+    inhomogeneity is ``spec``'s, at the bundle's states."""
     e = spec.exponents
     p, q, beta = e.p, e.q, e.beta
     A = bundle.A_path
     term = np.exp(0.5 * p * beta * A[:, -1]) * np.abs(sol.y[:, -1]) ** p
     steps = bundle.grid.steps
-    varphi = bundle.coeff_path.varphi
-    inhom = np.sum(np.exp(beta * A[:, :-1]) * varphi[:, :-1] ** p * steps[None, :], axis=1)
+    varphi = np.empty_like(A[:, :-1])
+    for i, t in enumerate(bundle.grid.nodes[:-1]):
+        varphi[:, i] = spec.coeffs.varphi(float(t), bundle.forward_states[:, i])
+    inhom = np.sum(np.exp(beta * A[:, :-1]) * varphi ** p * steps[None, :], axis=1)
     obst = np.max(
         (np.exp(0.5 * q * beta * A) * np.maximum(sol.obstacle, 0.0)) ** p, axis=1
     )

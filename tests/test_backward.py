@@ -188,6 +188,12 @@ class TestSolvePenalized:
             t = nodes[idx]
             assert abs(sol.y[0, idx] - (1.0 - math.exp(-10.0 * (1.0 - t)))) < 5e-3
 
+    @pytest.mark.parametrize("n_penalty", [float("nan"), float("inf"), -5.0])
+    def test_bad_penalty_level_named(self, put_spec, put_bundle_small, n_penalty):
+        # each of these used to return a value (a negative y0 at n = -5)
+        with pytest.raises(ValueError, match=r"^n_penalty must"):
+            rb.solve_penalized(put_spec, put_bundle_small, rb.RegressionBasis(degree=2), n_penalty)
+
     def test_martingale_case(self):
         spec = rb.build_problem("brownian_terminal", x0=0.7)
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 20), 20000, seed=9)
@@ -329,24 +335,38 @@ class TestImplicitStep:
         assert np.max(np.abs(bisected[:-1] - closed)) <= 2.0 * _root_width(bisected)
 
 
+def _solve_scheme(scheme):
+    """(spec, bundle, solution) of one scheme on a small jump bundle; the
+    reflected solution has its terminal jump extracted."""
+    spec = rb.build_problem("linear_z" if scheme == "picard" else "american_put_jumps")
+    bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=3)
+    basis = rb.RegressionBasis(degree=2)
+    if scheme == "penalized":
+        sol = rb.solve_penalized(spec, bundle, basis, 16.0)
+    elif scheme == "picard":
+        sol = rb.picard_solve(spec, bundle, basis, 16.0, tol=1e-10, max_iter=5)
+        assert sol.run.picard_iters > 1
+    elif scheme == "oracle":
+        sol = rb.solve_reflected_dp_oracle(spec, bundle, basis)
+    else:
+        sol = rb.solve_reflected_penalization(
+            spec, bundle, basis, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12)
+        ).solution
+    return spec, bundle, sol
+
+
 class TestSolutionFields:
     @pytest.mark.parametrize("scheme", ["penalized", "picard", "oracle", "reflected"])
     def test_solution_carries_the_sampled_obstacle(self, scheme):
-        spec = rb.build_problem("linear_z" if scheme == "picard" else "american_put_jumps")
-        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=3)
-        basis = rb.RegressionBasis(degree=2)
-        if scheme == "penalized":
-            sol = rb.solve_penalized(spec, bundle, basis, 16.0)
-        elif scheme == "picard":
-            sol = rb.picard_solve(spec, bundle, basis, 16.0, tol=1e-10, max_iter=5)
-            assert sol.run.picard_iters > 1
-        elif scheme == "oracle":
-            sol = rb.solve_reflected_dp_oracle(spec, bundle, basis)
-        else:
-            sol = rb.solve_reflected_penalization(
-                spec, bundle, basis, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12)
-            ).solution
+        spec, bundle, sol = _solve_scheme(scheme)
         np.testing.assert_array_equal(sol.obstacle, rb.backward.obstacle_on_grid(spec, bundle))
+
+    @pytest.mark.parametrize("scheme", ["penalized", "picard", "oracle", "reflected"])
+    def test_grids_are_column_major(self, scheme):
+        # the bundle's layout carries through every solver and diagnostic
+        _, _, sol = _solve_scheme(scheme)
+        for field in ("y", "z", "u", "k_cum", "obstacle"):
+            assert getattr(sol, field).flags.f_contiguous, field
 
     def test_gamma_is_the_compensator_aggregate(self, flat_spec, flat_bundle_coarse, basis0):
         spec = rb.build_problem("american_put_jumps")
@@ -392,13 +412,16 @@ class TestPicard:
     @pytest.mark.parametrize("kwargs, field", [
         ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
         ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"), ({"tol": float("nan")}, "tol"),
+        ({"n_penalty": float("nan")}, "n_penalty"), ({"n_penalty": float("inf")}, "n_penalty"),
+        ({"n_penalty": -5.0}, "n_penalty"),
     ])
     def test_bad_arguments_named(self, kwargs, field):
         # a NaN tol must not run to max_iter and read as "not converged"
         spec = rb.build_problem("linear_z")
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 5), 100, seed=3)
+        kwargs = {"n_penalty": 4.0, **kwargs}
         with pytest.raises(ValueError, match=rf"^{field} must"):
-            rb.picard_solve(spec, bundle, rb.RegressionBasis(degree=2), 4.0, **kwargs)
+            rb.picard_solve(spec, bundle, rb.RegressionBasis(degree=2), **kwargs)
 
     def test_residual_history_ordered(self):
         spec = rb.build_problem("linear_z", coef=0.4)

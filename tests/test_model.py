@@ -106,6 +106,18 @@ class TestCumulativeA:
         with pytest.raises(rb.AssumptionError):
             rb.cumulative_A(grid, np.zeros(4))
 
+    @pytest.mark.parametrize("shape, order", [((7, 13), "C"), ((7, 13), "F"), ((13,), "C")])
+    def test_running_sum_is_cumsum_bit_for_bit(self, shape, order):
+        # mixed signs and magnitudes, so a change of summation order shows
+        rng = np.random.default_rng(5)
+        inc = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        inc[..., 0] = -0.0
+        inc = np.asarray(inc, order=order)
+        ref = np.concatenate([np.zeros(shape[:-1] + (1,)), np.cumsum(inc, axis=-1)], axis=-1)
+        out = rb.model._running_sum(inc)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        assert out.flags.f_contiguous
+
     def test_linear_integrand_quadrature(self):
         # oracle: exact integral of 2t over [0, 1] is 1
         N = 4000

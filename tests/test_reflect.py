@@ -18,6 +18,19 @@ class TestSchedule:
         with pytest.raises(ValueError):
             rb.PenalizationSchedule(n_values=(), stop_tol=1e-3)
 
+    # each of these used to run: a NaN stop_tol ran the schedule to
+    # exhaustion, an infinite one stopped at level 1, and a NaN level
+    # stopped there as converged
+    @pytest.mark.parametrize("n_values, stop_tol, field", [
+        ((1.0, 2.0), float("nan"), "stop_tol"),
+        ((1.0, 2.0), float("inf"), "stop_tol"),
+        ((float("nan"), 2.0), 1e-3, "n_values"),
+        ((1.0, float("nan"), 4.0), 1e-3, "n_values"),
+    ])
+    def test_non_finite_values_named(self, n_values, stop_tol, field):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            rb.PenalizationSchedule(n_values=n_values, stop_tol=stop_tol)
+
 
 class TestReflectedPenalization:
     def test_flat_obstacle_limit(self, flat_spec, flat_bundle, basis0):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import rbsdej as rb
 
@@ -112,6 +112,32 @@ class TestBundleIO:
         loaded = rb.load_bundle(f)
         assert rb.bundles_equal(b, loaded)
         assert np.array_equal(loaded.coeff_path.varphi, b.coeff_path.varphi)
+        # the file holds the grids in C order whatever their layout in memory
+        c = b.coeff_path
+        c_order = replace(
+            b, brownian_increments=np.ascontiguousarray(b.brownian_increments),
+            jump_counts=np.ascontiguousarray(b.jump_counts),
+            forward_states=np.ascontiguousarray(b.forward_states),
+            A_path=np.ascontiguousarray(b.A_path),
+            coeff_path=replace(c, **{k.name: np.ascontiguousarray(getattr(c, k.name))
+                                     for k in fields(c)}),
+        )
+        assert not c_order.forward_states.flags.f_contiguous
+        rb.save_bundle(tmp_path / "c_order.bin", c_order)
+        assert (tmp_path / "c_order.bin").read_bytes() == f.read_bytes()
+
+    def test_grids_are_column_major(self, tmp_path):
+        # a node's column is a contiguous view for every reader of the bundle
+        spec = rb.build_problem("american_put_jumps")
+        b = rb.sample_paths(spec, rb.build_grid(1.0, 9), 300, seed=8)
+        f = tmp_path / "bundle.bin"
+        rb.save_bundle(f, b)
+        for bundle in (b, rb.load_bundle(f)):
+            c = bundle.coeff_path
+            grids = [bundle.brownian_increments, bundle.jump_counts, bundle.forward_states,
+                     bundle.A_path, rb.backward.obstacle_on_grid(spec, bundle)]
+            grids += [getattr(c, k.name) for k in fields(c)]
+            assert all(g.flags.f_contiguous for g in grids)
 
     def test_rejects_truncated_file(self, tmp_path):
         spec = rb.build_problem("american_put_jumps")

@@ -159,6 +159,19 @@ class TestScaleProblemData:
             np.testing.assert_array_equal(getattr(sol2, field), s * getattr(sol1, field))
 
 
+class TestDataNorms:
+    # the inhomogeneity term is the given spec's, not the sampling spec's,
+    # so all three terms of the data norm scale by s^p
+    @pytest.mark.parametrize("name", ["american_put_jumps", "linear_z", "flat_obstacle"])
+    def test_scaled_data_scale_by_s_to_the_p(self, basis3, name):
+        spec = rb.build_problem(name)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 20), 2000, seed=5)
+        scaled = rb.scale_problem_data(spec, 2.0)
+        base = rb.verify.data_norms(rb.solve_penalized(spec, bundle, basis3, 16.0), spec, bundle)
+        sc = rb.verify.data_norms(rb.solve_penalized(scaled, bundle, basis3, 16.0), scaled, bundle)
+        assert sc / (2.0**spec.exponents.p * base) == pytest.approx(1.0, rel=1e-12)
+
+
 class TestJumpEstimatorCrosscheck:
     def test_gamma_driver_agreement(self):
         spec = rb.build_problem("linear_gamma")
