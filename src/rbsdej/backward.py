@@ -45,63 +45,56 @@ class RegressionBasis:
 
 
 @dataclass(frozen=True)
-class _FittedPoly:
-    """Fitted polynomial of one time slice; the sweep evaluates its
-    continuation at jump-shifted states."""
-
-    coeffs: Array
-    lo: float
-    span: float
-    degenerate: bool
-
-    def __call__(self, x: Array) -> Array:
-        """The fit at states x (n,), for (d+1, k) coeffs: (n, k), column-major."""
-        shape = (x.size, self.coeffs.shape[1])
-        if self.degenerate:
-            return np.full(shape, self.coeffs[0])
-        s = ((x - self.lo) / self.span)[:, None]
-        out = np.zeros(shape, order="F")
-        for c in self.coeffs[::-1]:
-            out *= s
-            out += c
-        return out
-
-
-@dataclass(frozen=True)
-class _SliceFactors:
-    """A slice's standardization and the thin SVD U s Vᵀ of its design:
-    a fit is U (Uᵀ Y), with coefficients ``w`` (Uᵀ Y), w = V / s. ``u`` is
-    None on a degenerate slice, which takes the constant fit."""
+class _Slice:
+    """One time slice's regression: the standardization (lo, span) of its
+    states and the degree of its power basis, 0 on a degenerate slice,
+    which takes the constant fit. A factored slice keeps the thin SVD
+    U s Vᵀ of its design: a fit is U (Uᵀ Y), with coefficients w (Uᵀ Y),
+    w = V / s."""
 
     lo: float
     span: float
+    degree: int
     u: Array | None = None
     w: Array | None = None
 
+    @classmethod
+    def of(cls, states: Array, basis: RegressionBasis) -> "_Slice":
+        """The slice of ``states``: degree 0, and span 1, when they carry
+        no spread."""
+        lo, hi = float(np.min(states)), float(np.max(states))
+        span = hi - lo
+        if span <= 1e-12 * (1.0 + abs(hi)) or basis.degree == 0:
+            return cls(lo, 1.0, 0)
+        if states.size < basis.degree + 1:
+            raise RegressionRankError(
+                f"{states.size} paths cannot identify a degree-{basis.degree} basis; "
+                "reduce the degree"
+            )
+        return cls(lo, span, basis.degree)
 
-def _design(states: Array, basis: RegressionBasis) -> tuple[float, float, Array | None]:
-    """The slice's standardization (lo, span) and its (n, d+1)
-    standardized power design; no design, and span 1, on a degenerate
-    slice."""
-    n = states.size
-    lo, hi = float(np.min(states)), float(np.max(states))
-    span = hi - lo
-    if span <= 1e-12 * (1.0 + abs(hi)) or basis.degree == 0:
-        return lo, 1.0, None
-    cols = basis.degree + 1
-    if n < cols:
-        raise RegressionRankError(
-            f"{n} paths cannot identify a degree-{basis.degree} basis; "
-            "reduce the degree"
-        )
-    # powers written column by column: the same products as a row-wise
-    # Vandermonde build, on contiguous columns
-    design = np.empty((n, cols), order="F")
-    design[:, 0] = 1.0
-    design[:, 1] = (states - lo) / span
-    for k in range(2, cols):
-        np.multiply(design[:, k - 1], design[:, 1], out=design[:, k])
-    return lo, span, design
+    def design(self, x: Array) -> Array:
+        """The (n, d+1) standardized power design at states x (n,)."""
+        # powers written column by column: the same products as a row-wise
+        # Vandermonde build, on contiguous columns
+        design = np.empty((x.size, self.degree + 1), order="F")
+        design[:, 0] = 1.0
+        design[:, 1] = (x - self.lo) / self.span
+        for k in range(2, self.degree + 1):
+            np.multiply(design[:, k - 1], design[:, 1], out=design[:, k])
+        return design
+
+    def at(self, x: Array, coeffs: Array) -> Array:
+        """The fit at states x (n,), for (d+1, k) coeffs: (n, k), column-major."""
+        shape = (x.size, coeffs.shape[1])
+        if self.degree == 0:
+            return np.full(shape, coeffs[0])
+        s = ((x - self.lo) / self.span)[:, None]
+        out = np.zeros(shape, order="F")
+        for c in coeffs[::-1]:
+            out *= s
+            out += c
+        return out
 
 
 def _check_rank(rank: int, cols: int) -> None:
@@ -111,25 +104,26 @@ def _check_rank(rank: int, cols: int) -> None:
         )
 
 
-def _factor_slice(states: Array, basis: RegressionBasis) -> _SliceFactors:
-    """The slice's factors, with the rank ``lstsq`` reads at rcond=None:
-    the singular values above eps·max(n, d+1)·s_max."""
-    lo, span, design = _design(states, basis)
-    if design is None:
-        return _SliceFactors(lo=lo, span=span)
+def _factor_slice(states: Array, basis: RegressionBasis) -> _Slice:
+    """The slice with its factors, with the rank ``lstsq`` reads at
+    rcond=None: the singular values above eps·max(n, d+1)·s_max."""
+    sl = _Slice.of(states, basis)
+    if sl.degree == 0:
+        return sl
+    design = sl.design(states)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     _check_rank(int(np.sum(s > np.finfo(float).eps * max(design.shape) * s[0])), design.shape[1])
-    return _SliceFactors(lo=lo, span=span, u=u, w=vt.T / s)
+    return replace(sl, u=u, w=vt.T / s)
 
 
 def _fit_slice(
     states: Array, targets: Array, basis: RegressionBasis,
-    fits: dict[int, _SliceFactors] | None = None, key: int = 0,
-) -> tuple[_FittedPoly, Array]:
+    fits: dict[int, _Slice] | None = None, key: int = 0,
+) -> tuple[_Slice, Array, Array]:
     """One least-squares solve for every column of ``targets`` on the
-    slice's standardized power basis.
+    slice's standardized power basis: (slice, coefficients, fitted values).
 
-    ``targets`` is (n,) or (n, k); the fit's coefficients are (d+1,) or
+    ``targets`` is (n,) or (n, k); the coefficients are (d+1,) or
     (d+1, k) to match, and the fitted values at ``states`` come back in
     the shape of ``targets``. Without a factor store ``fits`` the solve is
     one ``lstsq``; with one, the slice is factored once under ``key`` and
@@ -138,23 +132,22 @@ def _fit_slice(
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if fits is None:
-        lo, span, design = _design(states, basis)
-        if design is not None:
+        sl = _Slice.of(states, basis)
+        if sl.degree:
+            design = sl.design(states)
             coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
             _check_rank(rank, design.shape[1])
-            return _FittedPoly(coeffs=coeffs, lo=lo, span=span, degenerate=False), design @ coeffs
+            return sl, coeffs, design @ coeffs
     else:
         if key not in fits:
             fits[key] = _factor_slice(states, basis)
-        f = fits[key]
-        lo = f.lo
-        if f.u is not None:
-            g = f.u.T @ targets
-            return _FittedPoly(coeffs=f.w @ g, lo=lo, span=f.span, degenerate=False), f.u @ g
+        sl = fits[key]
+        if sl.degree:
+            g = sl.u.T @ targets
+            return sl, sl.w @ g, sl.u @ g
     coeffs = np.zeros((basis.degree + 1,) + targets.shape[1:])
     coeffs[0] = np.mean(targets, axis=0)
-    fitted = np.broadcast_to(coeffs[0], targets.shape).copy()
-    return _FittedPoly(coeffs=coeffs, lo=lo, span=1.0, degenerate=True), fitted
+    return sl, coeffs, np.broadcast_to(coeffs[0], targets.shape).copy()
 
 
 def condexp_regression(
@@ -168,8 +161,8 @@ def condexp_regression(
     problems ride this path); genuine rank deficiency on a spread slice
     raises RegressionRankError.
     """
-    fit, fitted = _fit_slice(states, targets, basis)
-    return fit.coeffs, fitted
+    _, coeffs, fitted = _fit_slice(states, targets, basis)
+    return coeffs, fitted
 
 
 def truncate_qn(x, n: float):
@@ -347,6 +340,14 @@ def _solve_implicit_step(
         lo = np.where(take_hi, lo, mid)
         if float(np.max(hi - lo)) <= BISECT_TOL * (1.0 + float(np.max(np.abs(mid)))):
             break
+    # a NaN fails every comparison above, so the bisection can end on a
+    # NaN root or on a bracket that a NaN of g moved: g(lo) <= 0 <= g(hi)
+    # must still hold
+    lost = ~((g(lo) <= 0.0) & (g(hi) >= 0.0))
+    if lost.any():
+        _, where = _flagged(lost, n_penalty)
+        raise SolverError(f"no finite root of the implicit step at step {step_index}, {where}: "
+                          "the driver, continuation or obstacle is not finite in its bracket")
     return 0.5 * (lo + hi)
 
 
@@ -375,7 +376,7 @@ def _backward(
     columns: int = 1,
     observe: Observer = lambda *args: None,
     obstacle: Array | None = None,
-    fits: dict[int, _SliceFactors] | None = None,
+    fits: dict[int, _Slice] | None = None,
 ) -> BackwardSolution:
     """The backward regression sweep shared by every scheme.
 
@@ -443,18 +444,17 @@ def _backward(
                 comp = bundle.jump_counts[:, i, j] - lam[j] * dt
                 rhs[:, (2 + j) * K:(3 + j) * K] = y_next * comp[:, None] / (lam[j] * dt)
         try:
-            fit, fitted = _fit_slice(xi, rhs, basis, fits, i)
+            sl, coeffs, fitted = _fit_slice(xi, rhs, basis, fits, i)
         except RegressionRankError as exc:
             raise RegressionRankError(f"step {i}: {exc}") from exc
         c, z_i = np.asfortranarray(fitted[:, :K]), np.asfortranarray(fitted[:, K:2 * K])
         if u_estimator == "shifted":
-            cont = replace(fit, coeffs=fit.coeffs[:, :K])
             u_i = np.empty((n_paths, K, m), order="F")
             for j in range(m):
                 shifted = xi + np.asarray(
                     spec.forward.jump_size(t, xi, float(marks[j])), dtype=float
                 )
-                u_i[:, :, j] = cont(shifted) - c
+                u_i[:, :, j] = sl.at(shifted, coeffs[:, :K]) - c
         else:
             u_i = fitted[:, 2 * K:].reshape(n_paths, m, K).transpose(0, 2, 1)
 

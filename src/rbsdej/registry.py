@@ -41,11 +41,28 @@ def _coeffs(alpha=0.0, eta=0.0, delta=0.0, phi=0.05, varphi=1.0) -> CoefficientS
     )
 
 
-def _never_binding_obstacle():
-    def obstacle(t, x):
-        return np.full(np.shape(x), NEVER_BINDING) if np.ndim(x) else NEVER_BINDING
+def _mark_jump(t, x, e):
+    return np.full(np.shape(x), e) if np.ndim(x) else e
 
-    return obstacle, (lambda x: obstacle(0.0, x))
+
+def _problem(
+    T: float, p: float, beta: float | None, eps: float, *, coeffs: CoefficientSpec,
+    marks: MarkSpace = MarkSpace.empty(), x0: float = 0.0, drift=_const(0.0), vol=_const(0.0),
+    jump_size=lambda t, x, e: np.zeros(np.shape(x)),
+    driver=lambda t, x, y, z, u: np.zeros(np.shape(y)),
+    terminal=lambda x: np.asarray(x, dtype=float),
+    obstacle=_const(NEVER_BINDING),
+) -> ProblemSpec:
+    """A registry problem from the pieces in which it differs from the
+    shared defaults: a still forward at 0, a zero driver, terminal X_T and
+    a never-binding obstacle. Every registry obstacle is constant in time
+    before the horizon, so its left limit at T is its value at t = 0."""
+    return ProblemSpec(
+        exponents=Exponents.from_p(p, beta=beta, eps=eps), coeffs=coeffs, marks=marks,
+        forward=ForwardModel(x0=x0, drift=drift, vol=vol, jump_size=jump_size),
+        driver=driver, terminal=terminal, obstacle=obstacle,
+        obstacle_left_limit_T=lambda x: obstacle(0.0, x), horizon=T,
+    )
 
 
 def flat_obstacle(
@@ -66,18 +83,8 @@ def flat_obstacle(
         v = level if t < T_cut else 0.0
         return np.full(np.shape(x), v) if np.ndim(x) else v
 
-    return ProblemSpec(
-        exponents=Exponents.from_p(p, beta=beta, eps=eps),
-        coeffs=_coeffs(phi=1.0),
-        marks=MarkSpace.empty(),
-        forward=ForwardModel(x0=0.0, drift=_const(0.0), vol=_const(0.0),
-                             jump_size=lambda t, x, e: np.zeros(np.shape(x))),
-        driver=lambda t, x, y, z, u: np.zeros(np.shape(y)),
-        terminal=lambda x: np.zeros(np.shape(x)),
-        obstacle=obstacle,
-        obstacle_left_limit_T=lambda x: np.full(np.shape(x), level) if np.ndim(x) else level,
-        horizon=T,
-    )
+    return _problem(T, p, beta, eps, coeffs=_coeffs(phi=1.0),
+                    terminal=lambda x: np.zeros(np.shape(x)), obstacle=obstacle)
 
 
 def american_put(
@@ -103,23 +110,17 @@ def american_put(
     def payoff(x):
         return np.maximum(kappa - np.asarray(x, dtype=float), 0.0)
 
-    marks = MarkSpace(marks=tuple(jump_sizes), weights=tuple(jump_weights))
-    phi = max(0.05, rate)
-    return ProblemSpec(
-        exponents=Exponents.from_p(p, beta=beta, eps=eps),
-        coeffs=_coeffs(alpha=-rate, phi=phi),
-        marks=marks,
-        forward=ForwardModel(
-            x0=x0,
-            drift=lambda t, x: mu * np.asarray(x, dtype=float),
-            vol=lambda t, x: sigma * np.asarray(x, dtype=float),
-            jump_size=lambda t, x, e: e * np.asarray(x, dtype=float),
-        ),
+    return _problem(
+        T, p, beta, eps,
+        coeffs=_coeffs(alpha=-rate, phi=max(0.05, rate)),
+        marks=MarkSpace(marks=tuple(jump_sizes), weights=tuple(jump_weights)),
+        x0=x0,
+        drift=lambda t, x: mu * np.asarray(x, dtype=float),
+        vol=lambda t, x: sigma * np.asarray(x, dtype=float),
+        jump_size=lambda t, x, e: e * np.asarray(x, dtype=float),
         driver=lambda t, x, y, z, u: -rate * np.asarray(y, dtype=float),
         terminal=payoff,
         obstacle=lambda t, x: payoff(x),
-        obstacle_left_limit_T=payoff,
-        horizon=T,
     )
 
 
@@ -132,19 +133,7 @@ def brownian_terminal(
 ) -> ProblemSpec:
     """Terminal payoff X_T on a standard Brownian forward, zero driver,
     obstacle far below: the solution is the martingale E[X_T | F_t]."""
-    obstacle, left = _never_binding_obstacle()
-    return ProblemSpec(
-        exponents=Exponents.from_p(p, beta=beta, eps=eps),
-        coeffs=_coeffs(phi=0.05),
-        marks=MarkSpace.empty(),
-        forward=ForwardModel(x0=x0, drift=_const(0.0), vol=_const(1.0),
-                             jump_size=lambda t, x, e: np.zeros(np.shape(x))),
-        driver=lambda t, x, y, z, u: np.zeros(np.shape(y)),
-        terminal=lambda x: np.asarray(x, dtype=float),
-        obstacle=obstacle,
-        obstacle_left_limit_T=left,
-        horizon=T,
-    )
+    return _problem(T, p, beta, eps, coeffs=_coeffs(phi=0.05), x0=x0, vol=_const(1.0))
 
 
 def linear_y(
@@ -155,18 +144,10 @@ def linear_y(
     eps: float = 0.5,
 ) -> ProblemSpec:
     """f = -y with constant terminal value: Y_t = xi * e^{-(T - t)}."""
-    obstacle, left = _never_binding_obstacle()
-    return ProblemSpec(
-        exponents=Exponents.from_p(p, beta=beta, eps=eps),
-        coeffs=_coeffs(alpha=-1.0, phi=1.0),
-        marks=MarkSpace.empty(),
-        forward=ForwardModel(x0=0.0, drift=_const(0.0), vol=_const(0.0),
-                             jump_size=lambda t, x, e: np.zeros(np.shape(x))),
+    return _problem(
+        T, p, beta, eps, coeffs=_coeffs(alpha=-1.0, phi=1.0),
         driver=lambda t, x, y, z, u: -np.asarray(y, dtype=float),
         terminal=lambda x: np.full(np.shape(x), xi) if np.ndim(x) else xi,
-        obstacle=obstacle,
-        obstacle_left_limit_T=left,
-        horizon=T,
     )
 
 
@@ -180,18 +161,9 @@ def linear_z(
 ) -> ProblemSpec:
     """f = coef * z on a Brownian forward with terminal X_T; exercises the
     fixed-point iteration in the z argument."""
-    obstacle, left = _never_binding_obstacle()
-    return ProblemSpec(
-        exponents=Exponents.from_p(p, beta=beta, eps=eps),
-        coeffs=_coeffs(eta=abs(coef), phi=0.05),
-        marks=MarkSpace.empty(),
-        forward=ForwardModel(x0=x0, drift=_const(0.0), vol=_const(1.0),
-                             jump_size=lambda t, x, e: np.zeros(np.shape(x))),
+    return _problem(
+        T, p, beta, eps, coeffs=_coeffs(eta=abs(coef), phi=0.05), x0=x0, vol=_const(1.0),
         driver=lambda t, x, y, z, u: coef * np.asarray(z, dtype=float),
-        terminal=lambda x: np.asarray(x, dtype=float),
-        obstacle=obstacle,
-        obstacle_left_limit_T=left,
-        horizon=T,
     )
 
 
@@ -209,26 +181,14 @@ def linear_gamma(
     Brownian-plus-jumps forward; exercises the fixed point in u."""
     marks = MarkSpace(marks=tuple(jump_sizes), weights=tuple(jump_weights))
     w = marks.weights_array()
-    delta = abs(coef) * math.sqrt(marks.total_intensity)
-    obstacle, left = _never_binding_obstacle()
 
     def driver(t, x, y, z, u):
         u = np.asarray(u, dtype=float)
         return coef * (u @ w)
 
-    return ProblemSpec(
-        exponents=Exponents.from_p(p, beta=beta, eps=eps),
-        coeffs=_coeffs(delta=delta, phi=0.05),
-        marks=marks,
-        forward=ForwardModel(
-            x0=x0, drift=_const(0.0), vol=_const(1.0),
-            jump_size=lambda t, x, e: np.full(np.shape(x), e) if np.ndim(x) else e,
-        ),
-        driver=driver,
-        terminal=lambda x: np.asarray(x, dtype=float),
-        obstacle=obstacle,
-        obstacle_left_limit_T=left,
-        horizon=T,
+    return _problem(
+        T, p, beta, eps, coeffs=_coeffs(delta=abs(coef) * math.sqrt(marks.total_intensity)),
+        marks=marks, x0=x0, vol=_const(1.0), jump_size=_mark_jump, driver=driver,
     )
 
 
@@ -244,21 +204,8 @@ def pure_jump_counter(
     useful for moment checks of the simulator."""
     if intensity <= 0.0:
         raise ParameterError("intensity", "must be positive")
-    obstacle, left = _never_binding_obstacle()
-    return ProblemSpec(
-        exponents=Exponents.from_p(p, beta=beta, eps=eps),
-        coeffs=_coeffs(phi=0.05),
-        marks=MarkSpace(marks=(jump,), weights=(intensity,)),
-        forward=ForwardModel(
-            x0=0.0, drift=_const(0.0), vol=_const(0.0),
-            jump_size=lambda t, x, e: np.full(np.shape(x), e) if np.ndim(x) else e,
-        ),
-        driver=lambda t, x, y, z, u: np.zeros(np.shape(y)),
-        terminal=lambda x: np.asarray(x, dtype=float),
-        obstacle=obstacle,
-        obstacle_left_limit_T=left,
-        horizon=T,
-    )
+    return _problem(T, p, beta, eps, coeffs=_coeffs(phi=0.05),
+                    marks=MarkSpace(marks=(jump,), weights=(intensity,)), jump_size=_mark_jump)
 
 
 def american_put_jumps(

@@ -7,6 +7,8 @@ bit-identical across runs and across worker-thread counts.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -235,15 +237,17 @@ def load_bundle(path: str | Path) -> PathBundle:
     """Read a bundle written by `save_bundle`; a malformed or truncated
     file raises SimulationError naming the section that failed."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
         def read(nbytes: int, section: str) -> bytes:
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
+            # checked before reading, so a header's sizes never allocate
+            left = size - fh.tell()
+            if nbytes > left:
                 raise SimulationError(
                     f"truncated bundle file: section {section!r} needs {nbytes} bytes, "
-                    f"found {len(buf)}"
+                    f"found {left}"
                 )
-            return buf
+            return fh.read(nbytes)
 
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -252,9 +256,11 @@ def load_bundle(path: str | Path) -> PathBundle:
         if version != _VERSION:
             raise SimulationError(f"unsupported bundle version {version}")
         n_paths, N, m, seed = struct.unpack("<QQQQ", read(32, "header"))
+        if n_paths < 1 or N < 1:
+            raise SimulationError(f"bad bundle header: n_paths={n_paths} and N={N} must be at least 1")
 
         def rd(section, shape, dtype="<f8"):
-            buf = read(int(np.prod(shape)) * 8, section)
+            buf = read(math.prod(shape) * 8, section)  # Python ints: no int64 overflow
             return np.frombuffer(buf, dtype=dtype).reshape(shape).copy(order="F")
 
         nodes = rd("nodes", (N + 1,))

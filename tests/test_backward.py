@@ -98,11 +98,11 @@ class TestSliceFit:
         ])
         basis = rb.RegressionBasis(degree=4)
 
-        def assert_matches_one_shot(fit, fitted, targets):
-            assert fit.coeffs.shape == (5, 4) and fitted.shape == (2000, 4)
+        def assert_matches_one_shot(sl, fit_coeffs, fitted, targets):
+            assert sl.degree == 4 and fit_coeffs.shape == (5, 4) and fitted.shape == (2000, 4)
             for k in range(4):
                 coeffs, one = rb.condexp_regression(targets[:, k], states, basis)
-                assert np.max(np.abs(fit.coeffs[:, k] - coeffs)) <= 1e-12 * (1.0 + np.max(np.abs(coeffs)))
+                assert np.max(np.abs(fit_coeffs[:, k] - coeffs)) <= 1e-12 * (1.0 + np.max(np.abs(coeffs)))
                 assert np.max(np.abs(fitted[:, k] - one)) <= 1e-12
 
         assert_matches_one_shot(*rb.backward._fit_slice(states, targets, basis), targets)
@@ -333,6 +333,17 @@ class TestImplicitStep:
         bisected = rb.backward._solve_implicit_step(counted(_step_driver(a, b, k)), c, L, dt, n, 0)
         assert len(calls) > 8
         assert np.max(np.abs(bisected[:-1] - closed)) <= 2.0 * _root_width(bisected)
+
+    def test_nan_inside_the_bracket_named(self):
+        # the driver is finite at the probes and the bracket ends but NaN
+        # near path 1's root (about 0.5065); a NaN midpoint moved the
+        # bracket, which used to end on a finite non-root
+        def fy(y):
+            return np.where(np.abs(y - 0.5065) < 2e-3, np.nan, -0.5 * y**2)
+
+        c, L = np.array([0.2, 0.52, 1.0]), np.zeros(3)
+        with pytest.raises(rb.SolverError, match=r"^no finite root of the implicit step at step 7, path 1:"):
+            rb.backward._solve_implicit_step(fy, c, L, 0.1, 0.0, 7)
 
 
 def _solve_scheme(scheme):

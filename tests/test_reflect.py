@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -332,3 +334,21 @@ class TestConvergenceCSV:
                            "K_T_mean", "flat_integral", "wall_time"]
         assert len(rows) == 1 + len(run.table)
         assert float(rows[1][0]) == 1.0
+
+
+class TestNonFiniteDriver:
+    # a driver that is NaN above y = 0.05 fails every comparison of the
+    # implicit step; each solver used to return NaN (or blame the weights)
+    @pytest.mark.parametrize("solver", ["penalized", "oracle", "reflected"])
+    def test_step_and_path_named(self, solver, basis3):
+        spec = replace(rb.build_problem("american_put"),
+                       driver=lambda t, x, y, z, u: np.where(np.asarray(y) > 0.05, np.nan, 0.0))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 5), 500, seed=3)
+        solve = {
+            "penalized": lambda: rb.solve_penalized(spec, bundle, basis3, 4.0),
+            "oracle": lambda: rb.solve_reflected_dp_oracle(spec, bundle, basis3),
+            "reflected": lambda: rb.solve_reflected_penalization(
+                spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 4, 1e-3)),
+        }[solver]
+        with pytest.raises(rb.SolverError, match=r"^no finite root of the implicit step at step 4, path \d+"):
+            solve()

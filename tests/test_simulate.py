@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from dataclasses import fields, replace
@@ -148,6 +150,25 @@ class TestBundleIO:
         # cut inside the Brownian increments, which follow the 44-byte header and 10 nodes
         f.write_bytes(data[: 44 + 8 * 10 + 100])
         with pytest.raises(rb.simulate.SimulationError, match="brownian_increments"):
+            rb.load_bundle(f)
+
+    # each of these headers used to escape as MemoryError, ValueError
+    # ("cannot reshape") or OverflowError
+    @pytest.mark.parametrize("n_paths, N, match", [
+        (2**40, 9, "section 'brownian_increments' needs"),
+        (2**62, 4, "section 'brownian_increments' needs"),
+        (300, 0, "header"),
+        (0, 9, "header"),
+    ])
+    def test_rejects_impossible_header(self, tmp_path, n_paths, N, match):
+        spec = rb.build_problem("american_put_jumps")
+        b = rb.sample_paths(spec, rb.build_grid(1.0, 9), 300, seed=8)
+        f = tmp_path / "bundle.bin"
+        rb.save_bundle(f, b)
+        data = bytearray(f.read_bytes())
+        data[8:24] = struct.pack("<QQ", n_paths, N)  # after the magic and the version
+        f.write_bytes(bytes(data))
+        with pytest.raises(rb.simulate.SimulationError, match=match):
             rb.load_bundle(f)
 
     def test_rejects_foreign_file(self, tmp_path):
