@@ -21,7 +21,6 @@ from .backward import (
     condexp_regression,
     picard_solve,
     solve_penalized,
-    truncate_qn,
 )
 from .model import (
     AssumptionError,
@@ -32,7 +31,6 @@ from .model import (
     ForwardModel,
     MarkSpace,
     ProblemSpec,
-    aggregate_coefficients,
     conjugate_exponent,
     cumulative_A,
     default_beta,

@@ -165,15 +165,6 @@ def condexp_regression(
     return coeffs, fitted
 
 
-def truncate_qn(x, n: float):
-    """Soft clamp x * n / (|x| v n): identity below level n, capped above."""
-    if n <= 0.0:
-        raise ValueError("truncation level must be positive")
-    x = np.asarray(x, dtype=float)
-    out = x * n / np.maximum(np.abs(x), n)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Solver metadata: fixed-point iteration count and residuals (in
@@ -485,7 +476,8 @@ def _backward(
 
 
 def _single_pass(sol: BackwardSolution) -> BackwardSolution:
-    """Record a pass whose driver ignores (z, u) as its own fixed point."""
+    """Record a one-pass solve, whose driver sees its own (z, u), as its
+    own fixed point: one iterate, residual 0."""
     return replace(sol, run=replace(sol.run, picard_iters=1, residual_history=(0.0,)))
 
 

@@ -32,7 +32,7 @@ from .model import AssumptionError
 from .norms import estimate_norms, write_record_csv
 from .reflect import (
     PenalizationSchedule,
-    _level_row,
+    _LevelSums,
     _require_finite,
     skorokhod_report,
     solve_reflected_dp_oracle,
@@ -305,7 +305,7 @@ def _solve(config: ExperimentConfig, spec, bundle, timings: list) -> tuple:
     else:  # penalized / norms: single solve at the schedule's first level
         sol = solve_penalized(spec, bundle, basis, config.n0)
         if config.mode == "penalized":
-            row = _level_row(sol, spec, bundle, config.n0, t)
+            row = _LevelSums.of(sol, spec, bundle).row(0, config.n0, time.perf_counter() - t)
             tables.append(("convergence.csv", write_convergence_csv, [row]))
     timings.append(("solve", time.perf_counter() - t))
 

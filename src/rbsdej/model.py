@@ -126,24 +126,6 @@ def aggregate_rate(r: Mapping[str, Array]) -> Array:
     return r["phi"] + r["eta"] ** 2 + r["delta"] ** 2
 
 
-def aggregate_coefficients(
-    coeffs: CoefficientSpec, exponents: Exponents, t: float, state: Array
-) -> tuple[Array, Array]:
-    """Aggregate rate a^2 = phi + eta^2 + delta^2 and zeta^2 = (a^2)^{q/2}.
-
-    Raises AssumptionError as soon as a^2 drops below exponents.eps
-    anywhere in the sampled batch.
-    """
-    a2 = aggregate_rate(coeffs.rates(t, np.asarray(state, dtype=float)))
-    lo = float(np.min(a2)) if a2.size else float("inf")
-    if a2.size and lo < exponents.eps:
-        raise AssumptionError(
-            f"a^2 >= eps violated at t={t!r}: min a^2 = {lo!r} < eps = {exponents.eps!r}"
-        )
-    zeta2 = a2 ** (exponents.q / 2.0)
-    return a2, zeta2
-
-
 def cumulative_A(grid: "TimeGrid | Array", zeta2_steps: Array) -> Array:
     """Left-endpoint accumulation A_{i+1} = A_i + zeta^2(t_i) * dt_i.
 

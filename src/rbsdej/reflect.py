@@ -20,9 +20,8 @@ from .backward import (
     _single_pass,
     _solve_implicit_step,
     obstacle_on_grid,
-    picard_solve,
 )
-from .model import EQUALITY_RTOL, ProblemSpec, driver_uses_zu
+from .model import EQUALITY_RTOL, ProblemSpec
 from .norms import _mc
 from .simulate import PathBundle
 
@@ -31,9 +30,6 @@ Array = np.ndarray
 # Width of the terminal boundary layer, in units of 1/n_penalty, whose
 # K-mass is classified as the predictable terminal jump.
 TERMINAL_LAYER_FACTOR = 10.0
-# Fixed-point tolerance and iteration cap of every penalty level.
-PICARD_TOL = 1e-6
-PICARD_MAX_ITER = 25
 
 CONVERGENCE_CSV_COLUMNS = [
     "n", "penalty_error", "Y0_mean", "Y0_stderr", "K_T_mean", "flat_integral", "wall_time",
@@ -187,14 +183,6 @@ def _require_finite(
         )
 
 
-def _level_row(
-    sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle, n: float, t0: float
-) -> PenaltyLevelRow:
-    """Convergence row of a solve at level n that started at perf_counter
-    ``t0``; raises SolverError when the penalty error is not finite."""
-    return _LevelSums.of(sol, spec, bundle).row(0, n, time.perf_counter() - t0)
-
-
 def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:
     """Paths on which the data force a predictable jump of K at T:
     the obstacle's left limit sits strictly above the terminal payoff."""
@@ -269,9 +257,11 @@ def _swept_levels(
     spec: ProblemSpec, bundle: PathBundle, basis: RegressionBasis, schedule: PenalizationSchedule
 ) -> tuple[list[PenaltyLevelRow], BackwardSolution, bool]:
     """The schedule's levels as the columns of sweeps over chunks of 1, 2,
-    4, ... levels, which are independent when the driver ignores (z, u).
-    A chunk is as long as the levels before it plus one, so a stop inside
-    it sweeps at most about twice the columns needed.
+    4, ... levels. The columns are independent: each feeds the driver its
+    own (z_i, u_i), regressed from its own y_{i+1}, so each is its level's
+    one-pass penalized solve. A chunk is as long as the levels before it
+    plus one, so a stop inside it sweeps at most about twice the columns
+    needed.
 
     A row comes from the sums of the sweep that solved its level, and its
     wall_time is that sweep's per-level share. The first level whose row
@@ -317,24 +307,16 @@ def solve_reflected_penalization(
 
     Solves the levels in order until the weighted sup penalty error drops
     below the schedule's tolerance or the schedule is exhausted; the
-    latter is reported through ``reached_tol=False``, not an error. A
-    driver that ignores (z, u) has its levels swept as columns, in chunks
-    (``_swept_levels``); otherwise each level is a fixed-point solve. A
-    non-finite penalty error raises SolverError. The final solution has
-    its terminal boundary layer classified as the predictable jump, and
-    carries the Skorokhod report of that split.
+    latter is reported through ``reached_tol=False``, not an error. The
+    levels are swept as columns, in chunks (``_swept_levels``), whether
+    or not the driver reads (z, u): one backward pass that feeds the
+    driver its own (z_i, u_i) is already the fixed point of the Picard
+    map, so no level iterates. A non-finite penalty error raises
+    SolverError. The final solution has its terminal boundary layer
+    classified as the predictable jump, and carries the Skorokhod report
+    of that split.
     """
-    if driver_uses_zu(spec):
-        rows: list[PenaltyLevelRow] = []
-        for n in schedule.n_values:
-            t0 = time.perf_counter()
-            sol = picard_solve(spec, bundle, basis, n, tol=PICARD_TOL, max_iter=PICARD_MAX_ITER)
-            rows.append(_level_row(sol, spec, bundle, n, t0))
-            reached = rows[-1].penalty_error < schedule.stop_tol
-            if reached:
-                break
-    else:
-        rows, sol, reached = _swept_levels(spec, bundle, basis, schedule)
+    rows, sol, reached = _swept_levels(spec, bundle, basis, schedule)
     final_n = rows[-1].n
     extracted = extract_terminal_jump(sol, spec, bundle, final_n)
     warnings_ = extracted.run.warnings

@@ -148,32 +148,6 @@ class TestSliceFit:
             rb.picard_solve(z_spec, bundle, basis, 4.0)
 
 
-class TestTruncateQn:
-    def test_examples(self):
-        assert rb.truncate_qn(3.0, 2.0) == pytest.approx(2.0)
-        assert rb.truncate_qn(3.0, 5.0) == pytest.approx(3.0)
-        assert rb.truncate_qn(-7.0, 3.0) == pytest.approx(-3.0)
-
-    def test_invalid_level(self):
-        with pytest.raises(ValueError):
-            rb.truncate_qn(1.0, 0.0)
-
-    @given(st.floats(min_value=-1e6, max_value=1e6),
-           st.floats(min_value=1e-6, max_value=1e6))
-    @settings(max_examples=300)
-    def test_bounds(self, x, n):
-        out = rb.truncate_qn(x, n)
-        assert abs(out) <= min(abs(x), n) + 1e-12 * (1.0 + abs(x))
-        assert out * x >= 0.0  # sign preserved
-
-    def test_pointwise_convergence(self):
-        # q_n(x) -> x along a doubling schedule
-        for x in (-17.3, 0.0, 2.5, 123.0):
-            errs = [abs(rb.truncate_qn(x, 2.0**k) - x) for k in range(12)]
-            assert errs[-1] == 0.0
-            assert all(a >= b for a, b in zip(errs, errs[1:]))
-
-
 class TestSolvePenalized:
     def test_flat_obstacle_closed_form(self, flat_spec, flat_bundle, basis0):
         # oracle: backward ODE Y' = -n (Y - 1)^-, Y(T) = 0 has

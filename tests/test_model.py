@@ -50,29 +50,47 @@ class TestExponents:
 
 
 class TestAggregateCoefficients:
-    def _coeffs(self, phi, eta, delta):
-        c = lambda v: (lambda t, x: np.full(np.shape(x), v) if np.ndim(x) else v)
-        return rb.CoefficientSpec(alpha=c(0.0), eta=c(eta), delta=c(delta),
-                                  phi=c(phi), varphi=c(1.0))
+    """sample_paths builds a^2 = phi + eta^2 + delta^2 and zeta^2 =
+    (a^2)^{q/2} on every (path, node) and enforces a^2 >= eps."""
+
+    @staticmethod
+    def _spec(phi, eta, delta, p=1.5):
+        c = lambda v: v if callable(v) else (lambda t, x: np.full(np.shape(x), v) if np.ndim(x) else v)
+        spec = rb.build_problem("brownian_terminal")
+        return replace(spec, exponents=rb.Exponents.from_p(p, eps=0.5),
+                       coeffs=rb.CoefficientSpec(alpha=c(0.0), eta=c(eta), delta=c(delta),
+                                                 phi=c(phi), varphi=c(1.0)))
+
+    @staticmethod
+    def _coeff_path(spec):
+        return rb.sample_paths(spec, rb.build_grid(1.0, 4), 3, seed=0).coeff_path
 
     def test_unit_sum(self):
-        e = rb.Exponents.from_p(1.5, eps=0.5)
-        a2, z2 = rb.aggregate_coefficients(self._coeffs(1.0, 1.0, 1.0), e, 0.0, np.zeros(3))
-        assert a2 == pytest.approx(np.full(3, 3.0))
-        assert z2 == pytest.approx(np.full(3, 3.0**1.5))
-        assert float(z2[0]) == pytest.approx(5.196152422706632)
+        cp = self._coeff_path(self._spec(1.0, 1.0, 1.0))
+        assert np.array_equal(cp.a2, cp.phi + cp.eta**2 + cp.delta**2)
+        assert cp.a2 == pytest.approx(np.full((3, 5), 3.0))
+        assert cp.zeta2 == pytest.approx(np.full((3, 5), 3.0**1.5))
+        assert float(cp.zeta2[0, 0]) == pytest.approx(5.196152422706632)
 
     def test_unit_fixed_point(self):
         for p in (1.2, 1.5, 1.9):
-            e = rb.Exponents.from_p(p, eps=0.5)
-            a2, z2 = rb.aggregate_coefficients(self._coeffs(1.0, 0.0, 0.0), e, 0.0, np.zeros(2))
-            assert a2 == pytest.approx(np.ones(2))
-            assert z2 == pytest.approx(np.ones(2))
+            spec = self._spec(1.0, 0.0, 0.0, p)
+            cp = self._coeff_path(spec)
+            assert cp.a2 == pytest.approx(np.ones((3, 5)))
+            assert np.array_equal(cp.zeta2, cp.a2 ** (spec.exponents.q / 2.0))
+            assert cp.zeta2 == pytest.approx(np.ones((3, 5)))
 
     def test_floor_violation(self):
-        e = rb.Exponents.from_p(1.5, eps=0.5)
-        with pytest.raises(rb.AssumptionError):
-            rb.aggregate_coefficients(self._coeffs(0.1, 0.0, 0.0), e, 0.0, np.zeros(2))
+        # phi drops below eps = 0.5 where t >= 1/2 and x > 1: the error
+        # names the first such (path, node) of the sampled grid (path 5,
+        # node 2 at seed 0)
+        grid = rb.build_grid(1.0, 4)
+        X = rb.sample_paths(self._spec(1.0, 0.0, 0.0), grid, 16, seed=0).forward_states
+        p0, i0 = np.argwhere((X > 1.0) & (grid.nodes >= 0.5))[0]
+        phi = lambda t, x: np.where((t >= 0.5) & (np.asarray(x) > 1.0), 0.1, 1.0)
+        with pytest.raises(rb.AssumptionError,
+                           match=rf"^a\^2 >= eps violated on path {p0} at node {i0}: a\^2=0\.1"):
+            rb.sample_paths(self._spec(phi, 0.0, 0.0), grid, 16, seed=0)
 
     def test_zeta_floor_algebra(self):
         # zeta >= eps^{q/4} whenever a^2 >= eps

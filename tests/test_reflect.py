@@ -7,6 +7,21 @@ import pytest
 import rbsdej as rb
 
 
+def with_zu_driver(spec):
+    """``spec`` with the driver -0.05 y + 0.1 z + 0.1 sum_j w_j u_j."""
+    w = spec.marks.weights_array()
+
+    def driver(t, x, y, z, u):
+        return -0.05 * np.asarray(y, dtype=float) + 0.1 * np.asarray(z, dtype=float) \
+            + 0.1 * (np.asarray(u, dtype=float) @ w)
+
+    return replace(spec, driver=driver)
+
+
+# a driver that ignores (z, u), and one that reads both
+DRIVERS = pytest.mark.parametrize("zu", [False, True], ids=["zu_free", "zu_driver"])
+
+
 class TestSchedule:
     def test_geometric(self):
         s = rb.PenalizationSchedule.geometric(1.0, 5, 1e-3)
@@ -78,10 +93,13 @@ class TestReflectedPenalization:
         for k in range(len(errs) - 1):
             assert errs[k + 1] <= errs[k] + 2.0 * math.hypot(ses[k], ses[k + 1])
 
-    def test_zu_free_driver_records_single_picard_pass(self, put_spec, basis3):
-        bundle = rb.sample_paths(put_spec, rb.build_grid(1.0, 10), 1000, seed=4)
+    @DRIVERS
+    def test_records_single_picard_pass(self, put_spec, basis3, zu):
+        # every schedule is swept: a level is one pass, its own fixed point
+        spec = with_zu_driver(put_spec) if zu else put_spec
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=4)
         run = rb.solve_reflected_penalization(
-            put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 2, 1e-12),
+            spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 2, 1e-12),
         )
         assert run.solution.run.picard_iters == 1
         assert run.solution.run.residual_history == (0.0,)
@@ -105,15 +123,17 @@ class TestReflectedPenalization:
                     monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
         return calls
 
-    def test_obstacle_sampled_once_per_sweep(self, put_spec, basis3, monkeypatch):
+    @DRIVERS
+    def test_obstacle_sampled_once_per_sweep(self, put_spec, basis3, monkeypatch, zu):
         # the three levels are swept in chunks [1] and [2, 3] that share
         # one sampled obstacle and one factorization of each of the 10
         # slices, and the penalty errors and Skorokhod reports read the
         # solution's own obstacle
+        spec = with_zu_driver(put_spec) if zu else put_spec
         calls = self.counted_calls(monkeypatch)
-        bundle = rb.sample_paths(put_spec, rb.build_grid(1.0, 10), 1000, seed=4)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=4)
         run = rb.solve_reflected_penalization(
-            put_spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12),
+            spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-12),
         )
         assert len(run.table) == 3
         assert calls == {"sweep": 2, "obstacle": 1, "factor": 10}
@@ -135,15 +155,6 @@ class TestReflectedPenalization:
                 spec, bundle, basis3, rb.PenalizationSchedule.geometric(1.0, 3, 1e-3),
             )
 
-    def test_zu_driver_routes_through_picard(self, basis3):
-        spec = rb.build_problem("linear_z")
-        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=5)
-        run = rb.solve_reflected_penalization(
-            spec, bundle, basis3, rb.PenalizationSchedule.geometric(4.0, 2, 1e-8),
-        )
-        assert run.solution.run.picard_iters >= 1
-        assert len(run.solution.run.residual_history) >= 1
-
 
 ROW_FIELDS = ("penalty_error", "penalty_error_se", "y0_mean", "y0_stderr", "k_T_mean", "flat_integral")
 
@@ -154,7 +165,7 @@ def per_level_reference(spec, bundle, basis, schedule):
     rows = []
     for n in schedule.n_values:
         sol = rb.solve_penalized(spec, bundle, basis, n)
-        rows.append(rb.reflect._level_row(sol, spec, bundle, n, 0.0))
+        rows.append(rb.reflect._LevelSums.of(sol, spec, bundle).row(0, n, 0.0))
         if rows[-1].penalty_error < schedule.stop_tol:
             break
     return rows, rb.reflect.extract_terminal_jump(sol, spec, bundle, rows[-1].n)
@@ -172,18 +183,24 @@ def assert_matches_per_level(run, rows, sol, rtol=1e-12):
 
 
 class TestSweptSchedule:
-    """A driver that ignores (z, u) has its whole schedule swept at once;
-    rows and solution must match solving the levels one at a time."""
+    """Every schedule is swept in chunks of levels; rows and solution must
+    match solving the levels one at a time, also when the driver reads
+    (z, u)."""
 
-    @pytest.mark.parametrize("name, steps, paths, degree, levels, stop_tol, n_rows", [
-        ("american_put_jumps", 10, 2000, 3, 6, 1e-12, 6),  # jump-shifted continuations
-        ("flat_obstacle", 100, 8, 0, 11, 1e-3, 11),  # degenerate slices, never reaches tol
-        ("brownian_terminal", 10, 2000, 3, 8, 1e-6, 1),  # never binds: stops at level 1
+    @pytest.mark.parametrize("name, steps, paths, degree, levels, stop_tol, n_rows, zu", [
+        ("american_put_jumps", 10, 2000, 3, 6, 1e-12, 6, False),  # jump-shifted continuations
+        ("american_put_jumps", 10, 2000, 3, 6, 1e-12, 6, True),  # each column its own (z, u)
+        ("flat_obstacle", 100, 8, 0, 11, 1e-3, 11, False),  # degenerate slices, never reaches tol
+        ("brownian_terminal", 10, 2000, 3, 8, 1e-6, 1, False),  # never binds: stops at level 1
+    ], ids=[
+        "american_put_jumps-10-2000-3-6-1e-12-6", "american_put_jumps-zu_driver-10-2000-3-6-1e-12-6",
+        "flat_obstacle-100-8-0-11-0.001-11", "brownian_terminal-10-2000-3-8-1e-06-1",
     ])
     def test_rows_and_solution_match_per_level_solves(
-        self, name, steps, paths, degree, levels, stop_tol, n_rows
+        self, name, steps, paths, degree, levels, stop_tol, n_rows, zu
     ):
         spec = rb.build_problem(name)
+        spec = with_zu_driver(spec) if zu else spec
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, steps), paths, seed=12)
         basis = rb.RegressionBasis(degree=degree)
         schedule = rb.PenalizationSchedule.geometric(1.0, levels, stop_tol)
