@@ -18,7 +18,6 @@ from .backward import (
     RegressionRankError,
     RunRecord,
     SolverError,
-    condexp_regression,
     picard_solve,
     solve_penalized,
 )

@@ -11,7 +11,7 @@ below tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -148,21 +148,6 @@ def _fit_slice(
     coeffs = np.zeros((basis.degree + 1,) + targets.shape[1:])
     coeffs[0] = np.mean(targets, axis=0)
     return sl, coeffs, np.broadcast_to(coeffs[0], targets.shape).copy()
-
-
-def condexp_regression(
-    targets: Array, states: Array, basis: RegressionBasis
-) -> tuple[Array, Array]:
-    """Least-squares projection of per-path targets on the state basis.
-
-    Returns (coefficients, fitted values); the fitted values are the basis
-    projection of the targets and estimate E[target | state]. A slice
-    whose states carry no spread collapses to the constant fit (noise-free
-    problems ride this path); genuine rank deficiency on a spread slice
-    raises RegressionRankError.
-    """
-    _, coeffs, fitted = _fit_slice(states, targets, basis)
-    return coeffs, fitted
 
 
 @dataclass(frozen=True)
@@ -350,6 +335,22 @@ def _check_bundle(spec: ProblemSpec, bundle: PathBundle) -> None:
         )
     if abs(bundle.grid.horizon - spec.horizon) > 1e-12 * (1.0 + spec.horizon):
         raise SolverError("bundle grid does not match the problem horizon")
+    if bundle.n_marks != spec.marks.m:
+        raise SolverError(f"bundle has {bundle.n_marks} marks, the problem {spec.marks.m}")
+
+
+def _require_finite(
+    values: Mapping[str, float], where: str, spec: ProblemSpec, bundle: PathBundle
+) -> None:
+    """Raise SolverError naming the non-finite ``values`` and the largest
+    beta*A_T, whose exponential weights overflow float64 past 709."""
+    bad = [f"{name} {v!r}" for name, v in values.items() if not np.isfinite(v)]
+    if bad:
+        beta_A = spec.exponents.beta * float(np.max(bundle.A_path[:, -1]))
+        raise SolverError(
+            f"{', '.join(bad)} {where}; largest beta*A_T = {beta_A!r} "
+            "(a weight e^(c beta A) overflows float64 above c beta A = 709)"
+        )
 
 
 StepRule = Callable[[Callable[[Array], Array], Array, Array, float, int], tuple[Array, Array]]
@@ -537,7 +538,8 @@ def picard_solve(
     it. A driver that ignores (z, u) is detected up front and returns the
     single pass with residual history (0.0,). Three consecutive
     non-decreasing residuals raise a non-contraction warning into the run
-    record.
+    record; a residual that is not finite (overflowing weights) raises
+    SolverError naming the iteration and the largest beta*A_T.
 
     The iterates share one sampled obstacle, one factorization of each
     regression slice and the contraction norm's weights.
@@ -566,6 +568,7 @@ def picard_solve(
         sol = _backward(spec, bundle, basis, step, frozen_zu=(prev_z, prev_u),
                         obstacle=obstacle, fits=fits)
         d = weights.distance(sol.y - prev_y, sol.z - prev_z, sol.u - prev_u, lam)
+        _require_finite({"residual": d}, f"at Picard iteration {k}", spec, bundle)
         residuals.append(d)
         prev_y, prev_z, prev_u = sol.y, sol.z, sol.u
         if len(residuals) >= 4 and all(

@@ -27,13 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import RegressionBasis, SolverError, solve_penalized
+from .backward import RegressionBasis, SolverError, _require_finite, solve_penalized
 from .model import AssumptionError
 from .norms import estimate_norms, write_record_csv
 from .reflect import (
     PenalizationSchedule,
     _LevelSums,
-    _require_finite,
     skorokhod_report,
     solve_reflected_dp_oracle,
     solve_reflected_penalization,

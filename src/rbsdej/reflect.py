@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .backward import (
     SolverError,
     _backward,
     _penalty_step,
+    _require_finite,
     _single_pass,
     _solve_implicit_step,
     obstacle_on_grid,
@@ -167,20 +168,6 @@ def penalty_error(
     of (max over nodes of e^{beta A / 2} (y - L)^-)^p, with L the obstacle
     the solution carries."""
     return _LevelSums.of(sol, spec, bundle).penalty_error(0)
-
-
-def _require_finite(
-    values: Mapping[str, float], where: str, spec: ProblemSpec, bundle: PathBundle
-) -> None:
-    """Raise SolverError naming the non-finite ``values`` and the largest
-    beta*A_T, whose exponential weights overflow float64 past 709."""
-    bad = [f"{name} {v!r}" for name, v in values.items() if not np.isfinite(v)]
-    if bad:
-        beta_A = spec.exponents.beta * float(np.max(bundle.A_path[:, -1]))
-        raise SolverError(
-            f"{', '.join(bad)} {where}; largest beta*A_T = {beta_A!r} "
-            "(a weight e^(c beta A) overflows float64 above c beta A = 709)"
-        )
 
 
 def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:

@@ -86,7 +86,6 @@ class PathBundle:
     """Every (path, node) grid is column-major: a node's column is contiguous."""
 
     grid: TimeGrid
-    n_paths: int
     brownian_increments: Array  # (n_paths, N)
     jump_counts: Array  # (n_paths, N, m) int64
     forward_states: Array  # (n_paths, N+1)
@@ -94,6 +93,10 @@ class PathBundle:
     coeff_path: CoefficientPaths
     seed: int
     flagged_paths: Array  # indices of paths that produced non-finite values
+
+    @property
+    def n_paths(self) -> int:
+        return self.forward_states.shape[0]
 
     @property
     def n_marks(self) -> int:
@@ -194,7 +197,6 @@ def sample_paths(
 
     return PathBundle(
         grid=grid,
-        n_paths=n_paths,
         brownian_increments=dW,
         jump_counts=counts,
         forward_states=X,
@@ -277,7 +279,6 @@ def load_bundle(path: str | Path) -> PathBundle:
 
     return PathBundle(
         grid=TimeGrid(nodes=nodes),
-        n_paths=int(n_paths),
         brownian_increments=dW,
         jump_counts=counts,
         forward_states=X,
@@ -298,6 +299,6 @@ def bundles_equal(a: PathBundle, b: PathBundle) -> bool:
         (a.A_path, b.A_path),
         (a.coeff_path.zeta2, b.coeff_path.zeta2),
     ]
-    return a.n_paths == b.n_paths and a.seed == b.seed and all(
+    return a.seed == b.seed and all(
         x.shape == y.shape and np.array_equal(x, y) for x, y in pairs
     )

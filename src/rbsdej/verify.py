@@ -21,6 +21,7 @@ from .backward import (
     BackwardSolution,
     RegressionBasis,
     RunRecord,
+    SolverError,
     picard_solve,
     solve_penalized,
 )
@@ -346,8 +347,9 @@ def contraction_suite(
     """Residual ratios of the fixed-point iteration across weight
     exponents. Requires every beta to clear the stability threshold
     2(p-1)/p; passes when ratios r_k = d_{k+1}/d_k stay below 1 for
-    k >= 1 at the largest beta. Records a ratio-vs-beta table in
-    ``detail``."""
+    k >= 1 at the largest beta. A run whose residual is not finite fails
+    the property, with its SolverError message as the witness. Records a
+    ratio-vs-beta table in ``detail``."""
     e = spec.exponents
     threshold = 2.0 * (e.p - 1.0) / e.p
     if beta_values is None:
@@ -359,14 +361,19 @@ def contraction_suite(
     tally = _Tally()
     for b in sorted(beta_values):
         spec_b = replace(spec, exponents=e.with_beta(b))
-        sol = picard_solve(spec_b, bundle, basis, n_penalty, tol=tol, max_iter=max_iter)
+        try:
+            sol = picard_solve(spec_b, bundle, basis, n_penalty, tol=tol, max_iter=max_iter)
+        except SolverError as exc:  # a residual that is not finite
+            table.append((b, "failed"))
+            tally.add(1, 1, math.nan, [(b, str(exc))])
+            continue
         res = np.asarray(sol.run.residual_history)
         ratios = res[1:] / np.maximum(res[:-1], 1e-300)
         meaningful = res[:-1] > 10.0 * tol
         ratios = ratios[meaningful]
         table.append((b, tuple(round(float(r), 4) for r in ratios)))
         if b == max(beta_values):  # no meaningful ratio: converged at once, a vacuous pass
-            bad = ~(ratios < 1.0)  # a NaN ratio (overflowing weights) is bad
+            bad = ~(ratios < 1.0)
             tally.add(max(len(ratios), 1), int(np.sum(bad)),
                       float(np.max(ratios) - 1.0) if len(ratios) else -1.0,
                       [(b, tuple(float(r) for r in ratios))] if bad.any() else [])

@@ -14,15 +14,15 @@ class TestCondexpRegression:
         rng = np.random.default_rng(0)
         states = rng.uniform(-2.0, 5.0, 500)
         targets = 3.0 + 2.0 * states
-        _, fitted = rb.condexp_regression(targets, states, rb.RegressionBasis(degree=1))
+        _, fitted = rb.backward._fit_slice(states, targets, rb.RegressionBasis(degree=1))[1:]
         assert np.max(np.abs(fitted - targets)) < 1e-10
-        _, fitted2 = rb.condexp_regression(targets, states, rb.RegressionBasis(degree=4))
+        _, fitted2 = rb.backward._fit_slice(states, targets, rb.RegressionBasis(degree=4))[1:]
         assert np.max(np.abs(fitted2 - targets)) < 1e-9
 
     def test_constant_targets_coefficients(self):
         rng = np.random.default_rng(1)
         states = rng.uniform(0.0, 1.0, 200)
-        coeffs, fitted = rb.condexp_regression(np.full(200, 5.0), states, rb.RegressionBasis(degree=2))
+        coeffs, fitted = rb.backward._fit_slice(states, np.full(200, 5.0), rb.RegressionBasis(degree=2))[1:]
         assert coeffs == pytest.approx([5.0, 0.0, 0.0], abs=1e-9)
         assert fitted == pytest.approx(np.full(200, 5.0), abs=1e-9)
 
@@ -35,7 +35,7 @@ class TestCondexpRegression:
         states = rng.uniform(-1.0, 1.0, n)
         noise = rng.standard_normal(n)
         targets = states**2 + noise
-        coeffs, fitted = rb.condexp_regression(targets, states, rb.RegressionBasis(degree=2))
+        coeffs, fitted = rb.backward._fit_slice(states, targets, rb.RegressionBasis(degree=2))[1:]
         lo, span = states.min(), states.max() - states.min()
         design = np.vander((states - lo) / span, 3, increasing=True)
         resid = targets - fitted
@@ -46,12 +46,12 @@ class TestCondexpRegression:
     def test_degenerate_states_collapse_to_mean(self):
         states = np.full(50, 1.25)
         targets = np.linspace(0.0, 1.0, 50)
-        coeffs, fitted = rb.condexp_regression(targets, states, rb.RegressionBasis(degree=3))
+        coeffs, fitted = rb.backward._fit_slice(states, targets, rb.RegressionBasis(degree=3))[1:]
         assert fitted == pytest.approx(np.full(50, 0.5), abs=1e-12)
 
     def test_too_few_paths_raises(self):
         with pytest.raises(rb.RegressionRankError, match="degree"):
-            rb.condexp_regression(np.arange(3.0), np.arange(3.0), rb.RegressionBasis(degree=5))
+            rb.backward._fit_slice(np.arange(3.0), np.arange(3.0), rb.RegressionBasis(degree=5))
 
 
 def _reference_sweep(spec, bundle, basis, n_penalty, u_estimator):
@@ -101,7 +101,7 @@ class TestSliceFit:
         def assert_matches_one_shot(sl, fit_coeffs, fitted, targets):
             assert sl.degree == 4 and fit_coeffs.shape == (5, 4) and fitted.shape == (2000, 4)
             for k in range(4):
-                coeffs, one = rb.condexp_regression(targets[:, k], states, basis)
+                coeffs, one = rb.backward._fit_slice(states, targets[:, k], basis)[1:]
                 assert np.max(np.abs(fit_coeffs[:, k] - coeffs)) <= 1e-12 * (1.0 + np.max(np.abs(coeffs)))
                 assert np.max(np.abs(fitted[:, k] - one)) <= 1e-12
 
@@ -167,6 +167,15 @@ class TestSolvePenalized:
         # each of these used to return a value (a negative y0 at n = -5)
         with pytest.raises(ValueError, match=r"^n_penalty must"):
             rb.solve_penalized(put_spec, put_bundle_small, rb.RegressionBasis(degree=2), n_penalty)
+
+    @pytest.mark.parametrize("u_estimator", ["shifted", "compensated"])
+    def test_mark_count_mismatch_named(self, u_estimator):
+        # a 2-mark problem on a bundle without jump counts used to solve
+        # silently (shifted) or fail with an IndexError (compensated)
+        bundle = rb.sample_paths(rb.build_problem("linear_z"), rb.build_grid(1.0, 5), 50, seed=3)
+        with pytest.raises(rb.SolverError, match=r"^bundle has 0 marks, the problem 2$"):
+            rb.solve_penalized(rb.build_problem("linear_gamma"), bundle,
+                               rb.RegressionBasis(degree=2), 4.0, u_estimator=u_estimator)
 
     def test_martingale_case(self):
         spec = rb.build_problem("brownian_terminal", x0=0.7)
@@ -407,6 +416,16 @@ class TestPicard:
         kwargs = {"n_penalty": 4.0, **kwargs}
         with pytest.raises(ValueError, match=rf"^{field} must"):
             rb.picard_solve(spec, bundle, rb.RegressionBasis(degree=2), **kwargs)
+
+    def test_non_finite_residual_named(self):
+        # beta * A_T far above 709 overflows the contraction weights: the
+        # residuals used to read (inf, nan, ...) and end as "max_iter above tol"
+        spec = rb.build_problem("linear_z", beta=4e4)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 200, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            rb.SolverError, match=r"^residual inf at Picard iteration 1; largest beta\*A_T = "
+        ):
+            rb.picard_solve(spec, bundle, rb.RegressionBasis(degree=2), 8.0, tol=1e-10, max_iter=6)
 
     def test_residual_history_ordered(self):
         spec = rb.build_problem("linear_z", coef=0.4)

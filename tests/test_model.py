@@ -32,8 +32,7 @@ class TestConjugateExponent:
 class TestExponents:
     def test_from_p(self):
         e = rb.Exponents.from_p(1.5, beta=2.0, eps=0.5)
-        assert e.q == pytest.approx(3.0)
-        assert e.cp == 1.5 * 0.5 / 2.0
+        assert e.q == rb.conjugate_exponent(1.5) == 3.0
         assert e.beta == 2.0
 
     def test_default_beta(self):
@@ -43,8 +42,6 @@ class TestExponents:
     def test_invalid(self):
         with pytest.raises(ValueError):
             rb.Exponents.from_p(2.0)
-        with pytest.raises(ValueError):
-            rb.Exponents(p=1.5, q=2.9, beta=1.0, eps=0.1, cp=0.375)
         with pytest.raises(ValueError):
             rb.Exponents.from_p(1.5, eps=0.0)
 

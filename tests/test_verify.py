@@ -238,7 +238,8 @@ class TestFailingBranches:
             res = rb.jump_estimator_crosscheck(spec, bundle, rb.RegressionBasis(degree=3),
                                                se_gate=1e-9)
         else:
-            # beta * A_T ~ 2700 overflows the weights: every ratio is NaN
+            # beta * A_T ~ 2700 overflows the weights: picard_solve raises on
+            # the first residual, and the suite records its message as the witness
             spec = rb.build_problem("linear_z")
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=1)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -247,6 +248,8 @@ class TestFailingBranches:
         assert not res.passed
         assert res.failures >= 1
         assert 1 <= len(res.witnesses) <= MAX_WITNESSES
+        if case == "contraction_nan":
+            assert "at Picard iteration 1; largest beta*A_T" in res.witnesses[0][1]
 
 
 class TestPropertyResultPlumbing:
