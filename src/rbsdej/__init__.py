@@ -58,10 +58,7 @@ from .simulate import (
     PathBundle,
     TimeGrid,
     build_grid,
-    bundles_equal,
-    load_bundle,
     sample_paths,
-    save_bundle,
 )
 from .verify import (
     PropertyResult,

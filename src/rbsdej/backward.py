@@ -40,8 +40,8 @@ class RegressionBasis:
     degree: int
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        if not (isinstance(self.degree, (int, np.integer)) and self.degree >= 0):
+            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
 
 
 @dataclass(frozen=True)

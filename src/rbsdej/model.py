@@ -56,10 +56,10 @@ class Exponents:
     def __post_init__(self) -> None:
         if not (1.0 < self.p < 2.0):
             raise ValueError(f"p must lie in (1, 2), got {self.p!r}")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not (0.0 <= self.beta < math.inf):
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta!r}")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
 
     @property
     def q(self) -> float:
@@ -226,8 +226,8 @@ class ProblemSpec:
     horizon: float
 
     def __post_init__(self) -> None:
-        if not (self.horizon > 0.0):
-            raise ValueError("horizon must be positive")
+        if not (0.0 < self.horizon < math.inf):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
 
     def terminal_values(self, x: Array) -> Array:
         return np.asarray(self.terminal(np.asarray(x, dtype=float)), dtype=float)
@@ -244,23 +244,20 @@ class ProblemSpec:
 
 def driver_uses_zu(spec: ProblemSpec) -> bool:
     """Probe whether the driver reacts to its (z, u) arguments at 8 fixed
-    random states."""
+    random states, at each of 9 times evenly spaced over [0, T]."""
     n_probe = 8
     rng = np.random.default_rng(np.random.SeedSequence([0, 0x2D]))
     x0 = spec.forward.x0
     x = x0 + (1.0 + abs(x0)) * rng.standard_normal(n_probe)
     y = rng.standard_normal(n_probe)
     m = spec.marks.m
-    t = 0.5 * spec.horizon
-    base = spec.driver_values(t, x, y, np.zeros(n_probe), np.zeros((n_probe, m)))
-    bumped_z = spec.driver_values(t, x, y, np.ones(n_probe), np.zeros((n_probe, m)))
-    if np.max(np.abs(bumped_z - base)) > 1e-12 * (1.0 + np.max(np.abs(base))):
-        return True
-    for j in range(m):
-        u = np.zeros((n_probe, m))
-        u[:, j] = 1.0
-        bumped_u = spec.driver_values(t, x, y, np.zeros(n_probe), u)
-        if np.max(np.abs(bumped_u - base)) > 1e-12 * (1.0 + np.max(np.abs(base))):
+    zero_z, zero_u = np.zeros(n_probe), np.zeros((n_probe, m))
+    bumps = [(np.ones(n_probe), zero_u)]
+    bumps += [(zero_z, np.tile(np.eye(m)[j], (n_probe, 1))) for j in range(m)]
+    for t in np.linspace(0.0, spec.horizon, 9).tolist():
+        base = spec.driver_values(t, x, y, zero_z, zero_u)
+        tol = 1e-12 * (1.0 + np.max(np.abs(base)))
+        if any(np.max(np.abs(spec.driver_values(t, x, y, z, u) - base)) > tol for z, u in bumps):
             return True
     return False
 

@@ -7,12 +7,8 @@ bit-identical across runs and across worker-thread counts.
 """
 from __future__ import annotations
 
-import math
-import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,13 +20,6 @@ BLOCK = 4096  # fixed path-block size for RNG substreams
 _CH_BROWNIAN = 0xB0
 _CH_JUMPS = 0x10
 
-_MAGIC = b"RBPB"
-_VERSION = 1
-
-
-class SimulationError(RuntimeError):
-    pass
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -40,6 +29,8 @@ class TimeGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a grid needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError(f"grid nodes must be finite, got {nodes!r}")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at t=0")
         if np.any(np.diff(nodes) <= 0.0):
@@ -61,8 +52,8 @@ class TimeGrid:
 
 def build_grid(T: float, N: int) -> TimeGrid:
     """Uniform grid with N steps on [0, T]."""
-    if not (T > 0.0):
-        raise ValueError(f"horizon must be positive, got {T!r}")
+    if not (0.0 < T < np.inf):
+        raise ValueError(f"horizon must be positive and finite, got {T!r}")
     if int(N) < 1:
         raise ValueError(f"need at least one step, got {N!r}")
     return TimeGrid(nodes=np.linspace(0.0, float(T), int(N) + 1))
@@ -207,98 +198,4 @@ def sample_paths(
         ),
         seed=int(seed),
         flagged_paths=flagged,
-    )
-
-
-# ---------------------------------------------------------------------------
-# binary dump / reload
-
-
-def save_bundle(path: str | Path, bundle: PathBundle) -> None:
-    """Binary dump with a versioned header (magic, version, dims, seed)."""
-    g = bundle.grid
-    N = g.n_steps
-    m = bundle.n_marks
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<QQQQ", bundle.n_paths, N, m, bundle.seed & (2**64 - 1)))
-        fh.write(np.asarray(g.nodes, dtype="<f8").tobytes())
-        fh.write(np.asarray(bundle.brownian_increments, dtype="<f8").tobytes())
-        fh.write(np.asarray(bundle.jump_counts, dtype="<i8").tobytes())
-        fh.write(np.asarray(bundle.forward_states, dtype="<f8").tobytes())
-        fh.write(np.asarray(bundle.A_path, dtype="<f8").tobytes())
-        c = bundle.coeff_path
-        for arr in (c.alpha, c.eta, c.delta, c.phi, c.varphi, c.a2, c.zeta2):
-            fh.write(np.asarray(arr, dtype="<f8").tobytes())
-        fh.write(struct.pack("<Q", bundle.flagged_paths.size))
-        fh.write(np.asarray(bundle.flagged_paths, dtype="<i8").tobytes())
-
-
-def load_bundle(path: str | Path) -> PathBundle:
-    """Read a bundle written by `save_bundle`; a malformed or truncated
-    file raises SimulationError naming the section that failed."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read(nbytes: int, section: str) -> bytes:
-            # checked before reading, so a header's sizes never allocate
-            left = size - fh.tell()
-            if nbytes > left:
-                raise SimulationError(
-                    f"truncated bundle file: section {section!r} needs {nbytes} bytes, "
-                    f"found {left}"
-                )
-            return fh.read(nbytes)
-
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise SimulationError(f"not a path-bundle file (magic {magic!r})")
-        (version,) = struct.unpack("<I", read(4, "version"))
-        if version != _VERSION:
-            raise SimulationError(f"unsupported bundle version {version}")
-        n_paths, N, m, seed = struct.unpack("<QQQQ", read(32, "header"))
-        if n_paths < 1 or N < 1:
-            raise SimulationError(f"bad bundle header: n_paths={n_paths} and N={N} must be at least 1")
-
-        def rd(section, shape, dtype="<f8"):
-            buf = read(math.prod(shape) * 8, section)  # Python ints: no int64 overflow
-            return np.frombuffer(buf, dtype=dtype).reshape(shape).copy(order="F")
-
-        nodes = rd("nodes", (N + 1,))
-        dW = rd("brownian_increments", (n_paths, N))
-        counts = rd("jump_counts", (n_paths, N, m), dtype="<i8")
-        X = rd("forward_states", (n_paths, N + 1))
-        A = rd("A_path", (n_paths, N + 1))
-        coeff = [
-            rd(name, (n_paths, N + 1))
-            for name in ("alpha", "eta", "delta", "phi", "varphi", "a2", "zeta2")
-        ]
-        (n_flag,) = struct.unpack("<Q", read(8, "flagged count"))
-        flagged = rd("flagged_paths", (n_flag,), dtype="<i8")
-
-    return PathBundle(
-        grid=TimeGrid(nodes=nodes),
-        brownian_increments=dW,
-        jump_counts=counts,
-        forward_states=X,
-        A_path=A,
-        coeff_path=CoefficientPaths(*coeff),
-        seed=int(seed),
-        flagged_paths=flagged,
-    )
-
-
-def bundles_equal(a: PathBundle, b: PathBundle) -> bool:
-    """Bitwise equality of two bundles (used by determinism checks)."""
-    pairs = [
-        (a.grid.nodes, b.grid.nodes),
-        (a.brownian_increments, b.brownian_increments),
-        (a.jump_counts, b.jump_counts),
-        (a.forward_states, b.forward_states),
-        (a.A_path, b.A_path),
-        (a.coeff_path.zeta2, b.coeff_path.zeta2),
-    ]
-    return a.seed == b.seed and all(
-        x.shape == y.shape and np.array_equal(x, y) for x, y in pairs
     )

@@ -53,6 +53,11 @@ class TestCondexpRegression:
         with pytest.raises(rb.RegressionRankError, match="degree"):
             rb.backward._fit_slice(np.arange(3.0), np.arange(3.0), rb.RegressionBasis(degree=5))
 
+    @pytest.mark.parametrize("degree", [2.5, 3.0, -1, "3"])
+    def test_bad_degree_named(self, degree):
+        with pytest.raises(ValueError, match="^degree must be a nonnegative integer"):
+            rb.RegressionBasis(degree=degree)
+
 
 def _reference_sweep(spec, bundle, basis, n_penalty, u_estimator):
     """The penalized sweep with one Vandermonde build and one least-squares
@@ -212,11 +217,18 @@ class TestSolvePenalized:
         for lo, hi in zip(sols, sols[1:]):
             assert np.all(hi.y >= lo.y - 1e-10)
 
-    def test_frozen_mode_reproduces_one_pass(self, put_spec, put_bundle_small, basis3):
-        # the one-pass solution is the exact fixed point of the frozen map
-        one = rb.solve_penalized(put_spec, put_bundle_small, basis3, 8.0)
-        again = rb.solve_penalized(put_spec, put_bundle_small, basis3, 8.0, frozen_zu=(one.z, one.u))
-        assert np.array_equal(one.y, again.y)
+    def test_frozen_mode_reproduces_one_pass(self, basis3):
+        # the one-pass solution is the exact fixed point of the frozen map;
+        # these drivers read (z, u), so freezing them at zero moves y
+        for name in ("linear_z", "linear_gamma"):
+            spec = rb.build_problem(name)
+            bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=11)
+            one = rb.solve_penalized(spec, bundle, basis3, 8.0)
+            again = rb.solve_penalized(spec, bundle, basis3, 8.0, frozen_zu=(one.z, one.u))
+            assert np.array_equal(one.y, again.y), name
+            zero = rb.solve_penalized(spec, bundle, basis3, 8.0,
+                                      frozen_zu=(np.zeros_like(one.z), np.zeros_like(one.u)))
+            assert not np.array_equal(one.y, zero.y), name
 
     def test_nonaffine_driver_bisection(self, basis0):
         # driver with curvature in y: falls back to bisection and still

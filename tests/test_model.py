@@ -45,6 +45,12 @@ class TestExponents:
         with pytest.raises(ValueError):
             rb.Exponents.from_p(1.5, eps=0.0)
 
+    @pytest.mark.parametrize("field", ["beta", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            rb.Exponents(**{"p": 1.5, "beta": 1.0, "eps": 0.01, field: value})
+
 
 class TestAggregateCoefficients:
     """sample_paths builds a^2 = phi + eta^2 + delta^2 and zeta^2 =
@@ -212,6 +218,11 @@ class TestProblemSpecValidation:
         a = rb.validate_assumptions(spec, probe_budget=64, seed=9)
         b = rb.validate_assumptions(spec, probe_budget=64, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("T", [float("inf"), float("nan"), 0.0])
+    def test_horizon_named(self, T):
+        with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+            rb.build_problem("american_put", T=T)
 
 
 class TestNormalizeDriver:

@@ -74,6 +74,17 @@ class TestComparisonSuite:
         with pytest.raises(ValueError, match="independent"):
             rb.comparison_suite(spec, bundle, basis3, [(1.0, 2.0)])
 
+    @pytest.mark.parametrize("active", [lambda t: t < 0.5, lambda t: t > 0.5],
+                             ids=["t<T/2", "t>T/2"])
+    def test_rejects_driver_reading_z_on_half_the_horizon(self, active, basis3):
+        # 0.2 z 1{t < T/2} and 0.2 z 1{t > T/2} (T = 1) both ignore z at t = T/2
+        spec = rb.build_problem("brownian_terminal")
+        spec = replace(spec, driver=lambda t, x, y, z, u: 0.2 * np.asarray(z, dtype=float) * active(t))
+        assert rb.model.driver_uses_zu(spec)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 4), 100, seed=1)
+        with pytest.raises(ValueError, match="independent"):
+            rb.comparison_suite(spec, bundle, basis3, [(1.0, 2.0)])
+
 
 class TestPenaltyDecaySuite:
     def test_flat_obstacle_strict_decay(self, flat_spec, flat_bundle_coarse, basis0):
