@@ -16,14 +16,17 @@ import numpy as np
 import rbsdej as rb
 
 print("validator on a healthy problem:")
-print(rb.validate_assumptions(rb.build_problem("american_put_jumps"), probe_budget=256))
+healthy = rb.validate_assumptions(rb.build_problem("american_put_jumps"), probe_budget=256)
+print(rb.summary_text(healthy))
 
 print()
 print("validator catching a broken driver (f = +y with alpha still 0):")
 spec = rb.build_problem("linear_y")
 bad = replace(spec, driver=lambda t, x, y, z, u: +np.asarray(y, dtype=float),
               coeffs=replace(spec.coeffs, alpha=lambda t, x: np.zeros(np.shape(x))))
-print(rb.validate_assumptions(bad, probe_budget=128))
+broken = rb.validate_assumptions(bad, probe_budget=128)
+print(rb.summary_text(broken))
+print(f"  first witness (t, x, y, y'): {broken[0].witnesses[0]}")
 
 print()
 print("normalizing f = 2y (monotonicity rate +2) with eps_knob = 0.5:")

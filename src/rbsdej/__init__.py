@@ -23,7 +23,6 @@ from .backward import (
 )
 from .model import (
     AssumptionError,
-    AssumptionReport,
     CoefficientSpec,
     DriverNormalization,
     Exponents,
@@ -34,7 +33,6 @@ from .model import (
     cumulative_A,
     default_beta,
     normalize_driver,
-    validate_assumptions,
 )
 from .norms import (
     NormReport,
@@ -72,6 +70,7 @@ from .verify import (
     penalty_decay_suite,
     scale_problem_data,
     summary_text,
+    validate_assumptions,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

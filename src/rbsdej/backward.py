@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import norms as _norms
-from .model import ProblemSpec, _running_sum
+from .model import ProblemSpec, _require_count, _running_sum
 from .simulate import PathBundle
 
 Array = np.ndarray
@@ -544,10 +544,9 @@ def picard_solve(
     The iterates share one sampled obstacle, one factorization of each
     regression slice and the contraction norm's weights.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _require_count("max_iter", max_iter, 1)
     step = _penalty_step(n_penalty)
     from .model import driver_uses_zu
 

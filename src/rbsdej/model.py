@@ -2,9 +2,9 @@
 
 Exponent bookkeeping, coefficient processes with the aggregate rate
 a^2 = phi + eta^2 + delta^2 and its companion zeta^2 = (a^2)^{q/2},
-finite mark-space jump measures, Markovian forward carriers, sampled
-assumption probes, and the exponential change of variables that
-normalizes the monotonicity rate of the driver.
+finite mark-space jump measures, Markovian forward carriers, and the
+exponential change of variables that normalizes the monotonicity rate
+of the driver.
 """
 from __future__ import annotations
 
@@ -25,6 +25,13 @@ QUAD_STEPS = 4096
 
 class AssumptionError(ValueError):
     """A structural assumption on the problem data is violated."""
+
+
+def _require_count(name: str, value: object, least: int) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= ``least``."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def default_beta(p: float) -> float:
@@ -244,7 +251,8 @@ class ProblemSpec:
 
 def driver_uses_zu(spec: ProblemSpec) -> bool:
     """Probe whether the driver reacts to its (z, u) arguments at 8 fixed
-    random states, at each of 9 times evenly spaced over [0, T]."""
+    random states, at each of 9 times evenly spaced over [0, T]; a
+    difference that is not finite counts as a reaction."""
     n_probe = 8
     rng = np.random.default_rng(np.random.SeedSequence([0, 0x2D]))
     x0 = spec.forward.x0
@@ -257,162 +265,10 @@ def driver_uses_zu(spec: ProblemSpec) -> bool:
     for t in np.linspace(0.0, spec.horizon, 9).tolist():
         base = spec.driver_values(t, x, y, zero_z, zero_u)
         tol = 1e-12 * (1.0 + np.max(np.abs(base)))
-        if any(np.max(np.abs(spec.driver_values(t, x, y, z, u) - base)) > tol for z, u in bumps):
+        diffs = (np.max(np.abs(spec.driver_values(t, x, y, z, u) - base)) for z, u in bumps)
+        if not all(d <= tol for d in diffs):
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# assumption probes
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    worst_margin: float
-    witness: tuple | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            line = f"{status:4s}  {c.name:24s} worst_margin={c.worst_margin:.3e}"
-            if not c.passed and c.witness is not None:
-                line += f"  witness={c.witness}"
-            lines.append(line)
-        return "\n".join(lines)
-
-    def check(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def validate_assumptions(
-    spec: ProblemSpec, probe_budget: int = 256, seed: int = 0
-) -> AssumptionReport:
-    """Sampled diagnostics for the structural assumptions on (terminal,
-    driver, obstacle).
-
-    Draws ``probe_budget`` tuples (t, x, y, y', z, z', u, u') and reports
-    the worst violation margin per assumption; a positive margin beyond
-    the numerical allowance fails the check and carries a witness tuple.
-    Deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
-    n = int(probe_budget)
-    if n < 8:
-        raise ValueError("probe_budget must be at least 8")
-    T = spec.horizon
-    m = spec.marks.m
-    x0 = spec.forward.x0
-    scale = 1.0 + abs(x0)
-
-    t_s = rng.uniform(0.0, T, n)
-    x_s = x0 + scale * rng.standard_normal(n)
-    y_s = 3.0 * rng.standard_normal(n)
-    y2_s = 3.0 * rng.standard_normal(n)
-    z_s = 2.0 * rng.standard_normal(n)
-    z2_s = 2.0 * rng.standard_normal(n)
-    u_s = 1.5 * rng.standard_normal((n, m))
-    u2_s = 1.5 * rng.standard_normal((n, m))
-
-    tol = 1e-9
-
-    def verdict(name, margin, witness, allowance=tol, side_ok=True, side_margin=-np.inf, detail=""):
-        # coefficient rates vary with t, so probe row by row; the worst row
-        # decides and, on failure, supplies the witness
-        margins = np.array([margin(i) for i in range(n)], dtype=float)
-        worst = int(np.argmax(margins))
-        passed = margins[worst] <= allowance and side_ok
-        return AssumptionCheck(
-            name,
-            bool(passed),
-            float(max(margins[worst], side_margin)),
-            None if passed else tuple(float(w[worst]) for w in witness),
-            detail,
-        )
-
-    # monotonicity in y: (y - y') (f(y) - f(y')) <= alpha |y - y'|^2
-    def mono_margin(i):
-        t, x = float(t_s[i]), x_s[i : i + 1]
-        fy = spec.driver_values(t, x, y_s[i : i + 1], z_s[i : i + 1], u_s[i : i + 1])
-        fy2 = spec.driver_values(t, x, y2_s[i : i + 1], z_s[i : i + 1], u_s[i : i + 1])
-        dy = y_s[i] - y2_s[i]
-        if abs(dy) < 1e-12:
-            return -np.inf
-        alpha = float(_eval(spec.coeffs.alpha, t, x)[0])
-        return float(dy * (fy[0] - fy2[0]) - alpha * dy * dy) / (dy * dy)
-
-    # Lipschitz in (z, u): |f(z,u) - f(z',u')| <= eta |z-z'| + delta ||u-u'||
-    def lip_margin(i):
-        t, x = float(t_s[i]), x_s[i : i + 1]
-        f1 = spec.driver_values(t, x, y_s[i : i + 1], z_s[i : i + 1], u_s[i : i + 1])
-        f2 = spec.driver_values(t, x, y_s[i : i + 1], z2_s[i : i + 1], u2_s[i : i + 1])
-        eta = float(_eval(spec.coeffs.eta, t, x)[0])
-        delta = float(_eval(spec.coeffs.delta, t, x)[0])
-        bound = eta * abs(z_s[i] - z2_s[i]) + delta * float(
-            spec.marks.norm_lambda(u_s[i] - u2_s[i])
-        )
-        return float(abs(f1[0] - f2[0]) - bound)
-
-    # growth: |f(t, y, 0, 0)| <= varphi + phi |y|, with varphi >= 1
-    def growth_margin(i):
-        t, x = float(t_s[i]), x_s[i : i + 1]
-        f0 = spec.driver_values(t, x, y_s[i : i + 1], np.zeros(1), np.zeros((1, m)))
-        r = spec.coeffs.rates(t, x)
-        return float(abs(f0[0]) - (r["varphi"][0] + r["phi"][0] * abs(y_s[i])))
-
-    varphi_min = min(
-        float(np.min(spec.coeffs.rates(float(t), x_s)["varphi"])) for t in t_s[:8]
-    )
-
-    # aggregate rate floor: a^2 >= eps everywhere sampled
-    def a2_margin(i):
-        t, x = float(t_s[i]), x_s[i : i + 1]
-        a2 = float(aggregate_rate(spec.coeffs.rates(t, x))[0])
-        return spec.exponents.eps - a2
-
-    # driver continuity in y, finite-difference probe
-    def cont_margin(i):
-        t, x = float(t_s[i]), x_s[i : i + 1]
-        f0 = spec.driver_values(t, x, y_s[i : i + 1], z_s[i : i + 1], u_s[i : i + 1])
-        f1 = spec.driver_values(
-            t, x, y_s[i : i + 1] + 1e-7, z_s[i : i + 1], u_s[i : i + 1]
-        )
-        return float(abs(f1[0] - f0[0]) - 1e-3 * (1.0 + abs(f0[0])))
-
-    # barrier consistency at the horizon: obstacle(T, x) <= terminal(x)
-    xi = spec.terminal_values(x_s)
-    LT = spec.obstacle_values(T, x_s)
-
-    return AssumptionReport(checks=(
-        verdict("monotonicity_y", mono_margin, (t_s, x_s, y_s, y2_s)),
-        verdict("lipschitz_zu", lip_margin, (t_s, x_s, z_s, z2_s)),
-        verdict(
-            "growth", growth_margin, (t_s, x_s, y_s),
-            side_ok=varphi_min >= 1.0 - 1e-12, side_margin=1.0 - varphi_min,
-            detail="includes varphi >= 1",
-        ),
-        verdict("rate_floor", a2_margin, (t_s, x_s)),
-        verdict("y_continuity_probe", cont_margin, (t_s, x_s, y_s), allowance=0.0),
-        verdict(
-            "obstacle_below_terminal", lambda i: LT[i] - xi[i], (x_s, LT, xi),
-            allowance=tol * (1.0 + float(np.max(np.abs(xi)))),
-        ),
-    ))
 
 
 # ---------------------------------------------------------------------------

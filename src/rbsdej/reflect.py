@@ -22,7 +22,7 @@ from .backward import (
     _solve_implicit_step,
     obstacle_on_grid,
 )
-from .model import EQUALITY_RTOL, ProblemSpec
+from .model import EQUALITY_RTOL, ProblemSpec, _require_count
 from .norms import _mc
 from .simulate import PathBundle
 
@@ -58,7 +58,7 @@ class PenalizationSchedule:
     @classmethod
     def geometric(cls, n0: float = 1.0, levels: int = 11, stop_tol: float = 1e-3) -> "PenalizationSchedule":
         return cls(
-            n_values=tuple(n0 * 2.0**k for k in range(levels)),
+            n_values=tuple(n0 * 2.0**k for k in range(_require_count("levels", levels, 1))),
             stop_tol=stop_tol,
         )
 

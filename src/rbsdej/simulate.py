@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AssumptionError, ProblemSpec, aggregate_rate, cumulative_A
+from .model import AssumptionError, ProblemSpec, _require_count, aggregate_rate, cumulative_A
 
 Array = np.ndarray
 
@@ -54,9 +54,7 @@ def build_grid(T: float, N: int) -> TimeGrid:
     """Uniform grid with N steps on [0, T]."""
     if not (0.0 < T < np.inf):
         raise ValueError(f"horizon must be positive and finite, got {T!r}")
-    if int(N) < 1:
-        raise ValueError(f"need at least one step, got {N!r}")
-    return TimeGrid(nodes=np.linspace(0.0, float(T), int(N) + 1))
+    return TimeGrid(nodes=np.linspace(0.0, float(T), _require_count("N", N, 1) + 1))
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,8 @@ def sample_paths(
     (spec, grid, n_paths, seed) give bit-identical output regardless of
     ``n_threads``.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    _require_count("n_paths", n_paths, 1)
+    _require_count("n_threads", n_threads, 1)
     if abs(grid.horizon - spec.horizon) > 1e-12 * (1.0 + spec.horizon):
         raise ValueError("grid horizon does not match the problem horizon")
     N = grid.n_steps

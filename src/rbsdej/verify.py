@@ -1,4 +1,5 @@
-"""Executable property suites: the pointwise jump inequality, penalty
+"""Executable property suites: sampled probes of the assumptions on the
+problem data, the pointwise jump inequality, penalty
 comparison/decay, scaling consequences of the a-priori bounds, the
 fixed-point contraction diagnostics, and a randomized sweep of the
 factor-2 jump-energy domination.
@@ -25,7 +26,15 @@ from .backward import (
     picard_solve,
     solve_penalized,
 )
-from .model import Exponents, MarkSpace, ProblemSpec, _rescale_data, driver_uses_zu
+from .model import (
+    Exponents,
+    MarkSpace,
+    ProblemSpec,
+    _require_count,
+    _rescale_data,
+    aggregate_rate,
+    driver_uses_zu,
+)
 from .norms import NormReport, estimate_norms, lenglart_check
 from .reflect import PenalizationSchedule, solve_reflected_penalization
 from .simulate import PathBundle, build_grid, sample_paths
@@ -101,6 +110,82 @@ def write_properties_csv(results: Sequence[PropertyResult], fh) -> None:
     w.writerow(PROPERTIES_CSV_COLUMNS)
     for r in results:
         w.writerow([r.name, r.trials, r.failures, repr(r.worst_margin)])
+
+
+# ---------------------------------------------------------------------------
+# assumption probes
+
+
+def validate_assumptions(
+    spec: ProblemSpec, probe_budget: int = 256, seed: int = 0
+) -> tuple[PropertyResult, ...]:
+    """One result per structural assumption on (terminal, driver, obstacle),
+    from ``probe_budget`` sampled rows (t, x, y, y', z, z', u, u'); a row
+    whose margin exceeds the check's allowance fails, witnessed by its
+    draws. Growth also needs varphi >= 1 at the first 8 sampled times:
+    1 - varphi_min enters its worst margin, and a violation adds one
+    ("varphi_min", value) failure unless every row failed already."""
+    n = _require_count("probe_budget", probe_budget, 8)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
+    T, m, x0 = spec.horizon, spec.marks.m, spec.forward.x0
+    t_s = rng.uniform(0.0, T, n)
+    x_s = x0 + (1.0 + abs(x0)) * rng.standard_normal(n)
+    y_s, y2_s = 3.0 * rng.standard_normal((2, n))
+    z_s, z2_s = 2.0 * rng.standard_normal((2, n))
+    u_s, u2_s = 1.5 * rng.standard_normal((2, n, m))
+
+    # coefficient rates vary with t, so probe row by row
+    rows = []
+    for i in range(n):
+        t, x = float(t_s[i]), x_s[i : i + 1]
+        y, z, u = y_s[i : i + 1], z_s[i : i + 1], u_s[i : i + 1]
+        r = spec.coeffs.rates(t, x)
+        f = spec.driver_values(t, x, y, z, u)[0]
+        f_y2 = spec.driver_values(t, x, y2_s[i : i + 1], z, u)[0]
+        f_zu2 = spec.driver_values(t, x, y, z2_s[i : i + 1], u2_s[i : i + 1])[0]
+        f_00 = spec.driver_values(t, x, y, np.zeros(1), np.zeros((1, m)))[0]
+        f_dy = spec.driver_values(t, x, y + 1e-7, z, u)[0]
+        dy = y_s[i] - y2_s[i]
+        du = float(spec.marks.norm_lambda(u_s[i] - u2_s[i]))
+        rows.append((
+            # monotonicity in y: (y - y') (f(y) - f(y')) <= alpha |y - y'|^2
+            -np.inf if abs(dy) < 1e-12
+            else float(dy * (f - f_y2) - r["alpha"][0] * dy * dy) / (dy * dy),
+            # Lipschitz in (z, u): |f(z, u) - f(z', u')| <= eta |z - z'| + delta ||u - u'||
+            float(abs(f - f_zu2) - (r["eta"][0] * abs(z_s[i] - z2_s[i]) + r["delta"][0] * du)),
+            # growth: |f(t, y, 0, 0)| <= varphi + phi |y|
+            float(abs(f_00) - (r["varphi"][0] + r["phi"][0] * abs(y_s[i]))),
+            # aggregate rate floor: a^2 >= eps
+            spec.exponents.eps - float(aggregate_rate(r)[0]),
+            # driver continuity in y, finite-difference probe
+            float(abs(f_dy - f) - 1e-3 * (1.0 + abs(f))),
+        ))
+    mono, lip, growth, floor, cont = np.array(rows, dtype=float).T
+    varphi_min = min(float(np.min(spec.coeffs.rates(float(t), x_s)["varphi"])) for t in t_s[:8])
+    # barrier consistency at the horizon: obstacle(T, x) <= terminal(x)
+    xi, LT = spec.terminal_values(x_s), spec.obstacle_values(T, x_s)
+
+    tol = 1e-9
+    results = []
+    for name, margins, allowance, draws in (
+        ("monotonicity_y", mono, tol, (t_s, x_s, y_s, y2_s)),
+        ("lipschitz_zu", lip, tol, (t_s, x_s, z_s, z2_s)),
+        ("growth", growth, tol, (t_s, x_s, y_s)),
+        ("rate_floor", floor, tol, (t_s, x_s)),
+        ("y_continuity_probe", cont, 0.0, (t_s, x_s, y_s)),
+        ("obstacle_below_terminal", LT - xi, tol * (1.0 + float(np.max(np.abs(xi)))),
+         (x_s, LT, xi)),
+    ):
+        bad = np.flatnonzero(~(margins <= allowance))  # a NaN margin fails
+        tally, detail = _Tally(), ""
+        if name == "growth":
+            side = not varphi_min >= 1.0 - 1e-12 and bad.size < n
+            tally.add(0, int(side), 1.0 - varphi_min, [("varphi_min", varphi_min)] if side else ())
+            detail = "includes varphi >= 1"
+        tally.add(n, bad.size, float(margins[np.argmax(margins)]),  # first worst row, or NaN
+                  (tuple(float(c[i]) for c in draws) for i in bad))
+        results.append(tally.result(name, detail=detail))
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------

@@ -420,9 +420,12 @@ class TestPicard:
         ({"tol": 0.0}, "tol"), ({"tol": -1e-6}, "tol"), ({"tol": float("nan")}, "tol"),
         ({"n_penalty": float("nan")}, "n_penalty"), ({"n_penalty": float("inf")}, "n_penalty"),
         ({"n_penalty": -5.0}, "n_penalty"),
+        ({"tol": float("inf")}, "tol"), ({"max_iter": 2.5}, "max_iter"),
     ])
     def test_bad_arguments_named(self, kwargs, field):
-        # a NaN tol must not run to max_iter and read as "not converged"
+        # a NaN tol must not run to max_iter and read as "not converged",
+        # and an infinite one must not return the first iterate, whose
+        # (z, u) are frozen at zero, as converged
         spec = rb.build_problem("linear_z")
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 5), 100, seed=3)
         kwargs = {"n_penalty": 4.0, **kwargs}

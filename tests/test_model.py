@@ -164,33 +164,37 @@ class TestMarkSpace:
         assert float(ms.norm_lambda(u)) == pytest.approx(math.sqrt(2.0 + 2.0))
 
 
+def check_named(results, name):
+    return {r.name: r for r in results}[name]
+
+
 class TestProblemSpecValidation:
     def test_assumptions_pass_on_registry(self):
         for name in ("flat_obstacle", "american_put", "linear_z", "linear_gamma"):
             rep = rb.validate_assumptions(rb.build_problem(name), probe_budget=64)
-            assert rep.passed, f"{name}:\n{rep}"
+            assert all(r.passed for r in rep), f"{name}:\n{rb.summary_text(rep)}"
 
     def test_monotonicity_failure_witnessed(self):
         spec = rb.build_problem("linear_y")
         bad = replace(spec, driver=lambda t, x, y, z, u: +np.asarray(y, dtype=float))
         rep = rb.validate_assumptions(bad, probe_budget=64)
-        chk = rep.check("monotonicity_y")
+        chk = check_named(rep, "monotonicity_y")
         assert not chk.passed
-        assert chk.witness is not None
+        assert chk.witnesses
         assert chk.worst_margin == pytest.approx(2.0, abs=1e-9)  # secant 1 minus alpha -1
 
     def test_lipschitz_failure_detected(self):
         spec = rb.build_problem("linear_z")
         bad = replace(spec, driver=lambda t, x, y, z, u: 2.0 * np.asarray(z, dtype=float))
         rep = rb.validate_assumptions(bad, probe_budget=256)
-        chk = rep.check("lipschitz_zu")
+        chk = check_named(rep, "lipschitz_zu")
         assert not chk.passed
 
     def test_obstacle_above_terminal_detected(self):
         spec = rb.build_problem("flat_obstacle")
         bad = replace(spec, obstacle=lambda t, x: np.full(np.shape(x), 0.5))
         rep = rb.validate_assumptions(bad, probe_budget=64)
-        assert not rep.check("obstacle_below_terminal").passed
+        assert not check_named(rep, "obstacle_below_terminal").passed
 
     @pytest.mark.parametrize(
         "name, edit, margin",
@@ -207,9 +211,10 @@ class TestProblemSpecValidation:
         ids=["growth", "varphi_below_one", "rate_floor", "y_continuity"],
     )
     def test_failure_witnessed(self, name, edit, margin):
-        chk = rb.validate_assumptions(edit(rb.build_problem("linear_y")), probe_budget=64).check(name)
+        rep = rb.validate_assumptions(edit(rb.build_problem("linear_y")), probe_budget=64)
+        chk = check_named(rep, name)
         assert not chk.passed
-        assert chk.witness is not None
+        assert chk.witnesses
         if margin is not None:
             assert chk.worst_margin == pytest.approx(margin, abs=1e-9)
 
@@ -257,7 +262,7 @@ class TestNormalizeDriver:
         # a^2 = 1 for this problem, so the normalized slope is -eps * a^2
         assert slope == pytest.approx(-0.5, abs=1e-9)
         rep = rb.validate_assumptions(tspec, probe_budget=64)
-        assert rep.check("monotonicity_y").passed
+        assert check_named(rep, "monotonicity_y").passed
 
     def test_round_trip_within_solver_tolerance(self, basis0):
         spec = rb.build_problem("linear_y")

@@ -35,6 +35,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             rb.PenalizationSchedule(n_values=(), stop_tol=1e-3)
 
+    # 2.5 used to raise a TypeError from range
+    @pytest.mark.parametrize("levels", [2.5, 11.0, 0, -1])
+    def test_level_count_named(self, levels):
+        with pytest.raises(ValueError, match="^levels must be an integer of at least 1"):
+            rb.PenalizationSchedule.geometric(1.0, levels, 1e-3)
+
     # each of these used to run: a NaN stop_tol ran the schedule to
     # exhaustion, an infinite one stopped at level 1, and a NaN level
     # stopped there as converged

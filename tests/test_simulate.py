@@ -19,6 +19,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             rb.build_grid(T, N)
 
+    # 2.5 used to build a 2-step grid
+    @pytest.mark.parametrize("N", [2.5, 4.0, "4", 0, -1])
+    def test_step_count_named(self, N):
+        with pytest.raises(ValueError, match="^N must be an integer of at least 1"):
+            rb.build_grid(1.0, N)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("T", [np.inf, np.nan])
     def test_non_finite_horizon_named(self, T):
@@ -50,6 +56,19 @@ def assert_same_bundle(a, b):
 
 
 class TestSamplePaths:
+    # n_paths=2.5 used to raise an unnamed TypeError, and n_threads 0 or -3
+    # to run serial
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"n_paths": 2.5}, "n_paths"), ({"n_paths": 0}, "n_paths"),
+        ({"n_threads": 0}, "n_threads"), ({"n_threads": -3}, "n_threads"),
+        ({"n_threads": 2.0}, "n_threads"),
+    ])
+    def test_counts_named(self, kwargs, field):
+        kwargs = {"n_paths": 4, **kwargs}
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer of at least 1"):
+            rb.sample_paths(rb.build_problem("flat_obstacle"), rb.build_grid(1.0, 4), seed=0,
+                            **kwargs)
+
     def test_deterministic_euler(self):
         # drift 1, vol 0, no jumps: X_T = 1 exactly on every path
         spec = rb.build_problem("brownian_terminal")

@@ -8,6 +8,52 @@ from hypothesis import strategies as st
 import rbsdej as rb
 from rbsdej.verify import MAX_WITNESSES, PropertyResult, summary_text, write_properties_csv
 
+ASSUMPTION_CHECKS = ["monotonicity_y", "lipschitz_zu", "growth", "rate_floor",
+                     "y_continuity_probe", "obstacle_below_terminal"]
+
+
+class TestValidateAssumptions:
+    def test_one_result_per_check_with_the_probe_budget(self):
+        for name in rb.PROBLEMS:
+            rep = rb.validate_assumptions(rb.build_problem(name), probe_budget=40, seed=1)
+            assert [r.name for r in rep] == ASSUMPTION_CHECKS
+            assert all(r.trials == 40 for r in rep)
+
+    def test_every_monotonicity_row_fails(self):
+        spec = rb.build_problem("linear_y")
+        bad = replace(spec, driver=lambda t, x, y, z, u: +np.asarray(y, dtype=float))
+        chk = rb.validate_assumptions(bad, probe_budget=64, seed=2)[0]
+        # the probe rows' first four draws, in the validator's order
+        rng = np.random.default_rng(np.random.SeedSequence([2, 0xA5]))
+        t = rng.uniform(0.0, spec.horizon, 64)
+        x = spec.forward.x0 + (1.0 + abs(spec.forward.x0)) * rng.standard_normal(64)
+        y, y2 = 3.0 * rng.standard_normal(64), 3.0 * rng.standard_normal(64)
+        rows = [(t[i], x[i], y[i], y2[i]) for i in range(64) if abs(y[i] - y2[i]) >= 1e-12]
+        assert (chk.name, chk.passed, chk.failures) == ("monotonicity_y", False, len(rows))
+        assert chk.witnesses == tuple(rows[:MAX_WITNESSES])
+
+    def test_varphi_below_one_is_one_failure(self):
+        spec = rb.build_problem("linear_y")
+        bad = replace(spec, coeffs=replace(spec.coeffs, varphi=lambda t, x: 0.5))
+        chk = rb.validate_assumptions(bad, probe_budget=64)[2]
+        assert (chk.name, chk.failures, chk.witnesses) == ("growth", 1, (("varphi_min", 0.5),))
+        assert chk.worst_margin == 0.5
+
+    def test_growth_failures_never_exceed_trials(self):
+        # every row over the growth bound and varphi < 1 as well
+        spec = rb.build_problem("linear_y")
+        bad = replace(spec, driver=lambda t, x, y, z, u: np.full(np.shape(y), 100.0),
+                      coeffs=replace(spec.coeffs, varphi=lambda t, x: 0.5))
+        chk = rb.validate_assumptions(bad, probe_budget=16)[2]
+        assert (chk.failures, chk.trials, chk.passed) == (16, 16, False)
+        assert len(chk.witnesses) == MAX_WITNESSES
+
+    # 8.7 used to be truncated to 8
+    @pytest.mark.parametrize("budget", [8.7, 64.0, "64", 7])
+    def test_probe_budget_named(self, budget):
+        with pytest.raises(ValueError, match="^probe_budget must be an integer of at least 8"):
+            rb.validate_assumptions(rb.build_problem("linear_y"), probe_budget=budget)
+
 
 class TestJumpInequality:
     def test_degenerate_zero_displacement(self):
@@ -50,6 +96,18 @@ class TestJumpInequality:
 
 
 class TestComparisonSuite:
+    # a driver whose (z, u) response is NaN used to read as ignoring (z, u)
+    @pytest.mark.parametrize("driver", [
+        lambda t, x, y, z, u: np.nan + 0.1 * np.asarray(z, dtype=float),
+        lambda t, x, y, z, u: np.where(np.asarray(z) != 0, np.nan, 0.0),
+    ], ids=["nan_plus_z", "nan_where_z_nonzero"])
+    def test_non_finite_zu_response_rejected(self, driver, basis0):
+        spec = replace(rb.build_problem("brownian_terminal"), driver=driver)
+        assert rb.model.driver_uses_zu(spec)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 4), 8, seed=0)
+        with pytest.raises(ValueError, match="requires a driver independent of"):
+            rb.comparison_suite(spec, bundle, basis0, [(1.0, 2.0)])
+
     def test_deterministic_zero_failures(self, flat_spec, flat_bundle_coarse, basis0):
         res = rb.comparison_suite(flat_spec, flat_bundle_coarse, basis0,
                                   [(1.0, 2.0), (2.0, 4.0)])
