@@ -541,8 +541,9 @@ def picard_solve(
     record; a residual that is not finite (overflowing weights) raises
     SolverError naming the iteration and the largest beta*A_T.
 
-    The iterates share one sampled obstacle, one factorization of each
-    regression slice and the contraction norm's weights.
+    The iterates share one sampled obstacle and one factorization of each
+    regression slice; the distance reads both iterates one node column at
+    a time.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -559,14 +560,14 @@ def picard_solve(
     prev_z = np.zeros((bundle.n_paths, N + 1), order="F")
     prev_u = np.zeros((bundle.n_paths, N + 1, m), order="F")
     obstacle, fits = obstacle_on_grid(spec, bundle), {}
-    weights = _norms._ContractionWeights(bundle, spec.exponents)
     lam = spec.marks.weights_array()
     residuals: list[float] = []
     warnings_: list[str] = []
     for k in range(1, max_iter + 1):
         sol = _backward(spec, bundle, basis, step, frozen_zu=(prev_z, prev_u),
                         obstacle=obstacle, fits=fits)
-        d = weights.distance(sol.y - prev_y, sol.z - prev_z, sol.u - prev_u, lam)
+        d = _norms._contraction_distance((sol.y, sol.z, sol.u), (prev_y, prev_z, prev_u),
+                                         bundle, spec.exponents, lam)
         _require_finite({"residual": d}, f"at Picard iteration {k}", spec, bundle)
         residuals.append(d)
         prev_y, prev_z, prev_u = sol.y, sol.z, sol.u

@@ -342,8 +342,8 @@ def normalize_driver(
     Warns when the driver is already normalized; the transform still
     applies (and reduces to the identity when the rate integrates to 0).
     """
-    if eps_knob < 0.0:
-        raise ValueError("eps_knob must be nonnegative")
+    if not 0.0 <= eps_knob < np.inf:
+        raise ValueError(f"eps_knob must be nonnegative and finite, got {eps_knob!r}")
     T = spec.horizon
     x0 = spec.forward.x0
     probe_x = np.array([x0 - 1.0 - abs(x0), x0, x0 + 1.0 + abs(x0)])

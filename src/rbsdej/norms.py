@@ -68,58 +68,55 @@ def _mc(per_path: Array) -> tuple[float, float]:
     return mean, se
 
 
-def _weights(bundle, exponents) -> tuple[Array, Array]:
-    """The norms' weights e^{(p/2) beta A} and e^{beta A} at every (path, node)."""
-    A = bundle.A_path
-    return np.exp(0.5 * exponents.p * exponents.beta * A), np.exp(exponents.beta * A)
+def _node_weights(bundle, exponents):
+    """Each node's index with its weights e^{(p/2) beta A_i} and e^{beta A_i},
+    one (n_paths,) column at a time."""
+    half = 0.5 * exponents.p * exponents.beta
+    for i, A_i in enumerate(bundle.A_path.T):
+        yield i, np.exp(half * A_i), np.exp(exponents.beta * A_i)
 
 
-class _ContractionWeights:
-    """The weights of the contraction norm on one bundle, built once for
-    many distances: e^{(p/2) beta A} dA and e^{beta A} dt on the left
-    endpoints, in the bundle's layout."""
-
-    def __init__(self, bundle, exponents: Exponents) -> None:
-        w_half, w_full = _weights(bundle, exponents)
-        self.p = exponents.p
-        self.y_dA = w_half[:, :-1] * np.diff(bundle.A_path, axis=1)
-        self.dt = w_full[:, :-1] * bundle.grid.steps
-
-    def distance(self, dy: Array, dz: Array, du: Array, lam: Array) -> float:
-        """The p-th root of the summed y-in-dA, z and u energies of the
-        difference fields (``lam`` holds the mark weights)."""
-        p = self.p
-        total = float(np.mean(np.sum(self.y_dA * np.abs(dy[:, :-1]) ** p, axis=1)))
-        total += float(np.mean(np.sum(self.dt * dz[:, :-1] ** 2, axis=1) ** (p / 2.0)))
-        if du.shape[2]:
-            u2l = sum(lam[j] * du[:, :-1, j] ** 2 for j in range(du.shape[2]))
-            total += float(np.mean(np.sum(self.dt * u2l, axis=1) ** (p / 2.0)))
-        return total ** (1.0 / p)
+def _contraction_distance(new, old, bundle, exponents: Exponents, lam) -> float:
+    """The p-th root of the summed y-in-dA, z and u energies of the
+    difference of two (y, z, u) triples of grids, read one node column at
+    a time (``lam`` holds the mark weights)."""
+    (y, z, u), (y0, z0, u0) = new, old
+    p, A, dt = exponents.p, bundle.A_path, bundle.grid.steps
+    y_dA, z_dt, u_dt = (np.zeros(y.shape[0]) for _ in range(3))
+    for i, w_half, w in _node_weights(bundle, exponents):
+        if i == dt.size:
+            break
+        y_dA += w_half * (A[:, i + 1] - A[:, i]) * np.abs(y[:, i] - y0[:, i]) ** p
+        z_dt += w * dt[i] * (z[:, i] - z0[:, i]) ** 2
+        if u.shape[2]:
+            du2 = sum(lam[j] * (u[:, i, j] - u0[:, i, j]) ** 2 for j in range(u.shape[2]))
+            u_dt += w * dt[i] * du2
+    total = float(np.mean(y_dA)) + float(np.mean(z_dt ** (p / 2.0)))
+    if u.shape[2]:
+        total += float(np.mean(u_dt ** (p / 2.0)))
+    return total ** (1.0 / p)
 
 
 def _norm_parts(y, z, u, k_total, bundle, exponents, lam):
     """Per-path values of each norm, before averaging; ``lam`` holds the
-    mark weights."""
-    p = exponents.p
-    A = bundle.A_path
-    steps = bundle.grid.steps
-    w_half, w_full = _weights(bundle, exponents)
+    mark weights. Each node's terms, summed over the marks in order, are
+    added into (n_paths,) sums in the order np.sum takes along the node
+    axis of a column-major grid."""
+    p, A, dt, counts = exponents.p, bundle.A_path, bundle.grid.steps, bundle.jump_counts
     lam = np.asarray(lam, dtype=float)
-
-    sup_term = np.max(w_half * np.abs(y) ** p, axis=1)
-    dA = np.diff(A, axis=1)
-    sA_term = np.sum(w_half[:, :-1] * np.abs(y[:, :-1]) ** p * dA, axis=1)
-    h_term = np.sum(w_full[:, :-1] * z[:, :-1] ** 2 * steps[None, :], axis=1) ** (p / 2.0)
-    if u.shape[2]:
-        u2l = np.sum(lam[None, None, :] * u**2, axis=2)
-        l_lam = np.sum(w_full[:, :-1] * u2l[:, :-1] * steps[None, :], axis=1) ** (p / 2.0)
-        real = np.sum(u[:, :-1, :] ** 2 * bundle.jump_counts, axis=2)
-        l_mu = np.sum(w_full[:, :-1] * real, axis=1) ** (p / 2.0)
-    else:
-        l_lam = np.zeros(y.shape[0])
-        l_mu = np.zeros(y.shape[0])
+    sup_term, sA_term, h, l_lam, l_mu = (np.zeros(y.shape[0]) for _ in range(5))
+    for i, w_half, w in _node_weights(bundle, exponents):
+        y_p = w_half * np.abs(y[:, i]) ** p
+        np.maximum(sup_term, y_p, out=sup_term)
+        if i == dt.size:
+            break
+        sA_term += y_p * (A[:, i + 1] - A[:, i])
+        h += w * z[:, i] ** 2 * dt[i]
+        if u.shape[2]:
+            l_lam += w * sum(lam[j] * u[:, i, j] ** 2 for j in range(u.shape[2])) * dt[i]
+            l_mu += w * sum(u[:, i, j] ** 2 * counts[:, i, j] for j in range(u.shape[2]))
     k_term = np.abs(k_total) ** p
-    return sup_term, sA_term, h_term, l_lam, l_mu, k_term
+    return sup_term, sA_term, h ** (p / 2.0), l_lam ** (p / 2.0), l_mu ** (p / 2.0), k_term
 
 
 def estimate_norms(
@@ -167,8 +164,8 @@ def lenglart_check(
 
 def power_sum_bound(xs, p: float) -> tuple[float, float]:
     """(sum |x_i|)^p versus n^{p-1} sum |x_i|^p; lhs <= rhs for p >= 1."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p!r}")
     xs = np.abs(np.asarray(xs, dtype=float))
     n = xs.size
     if n == 0:
@@ -188,7 +185,8 @@ def weighted_distance(
 ) -> float:
     """Distance between iterates in the contraction norm: the p-th root of
     the summed y-in-dA, z and u energies of the difference fields."""
-    return _ContractionWeights(bundle, exponents).distance(dy, dz, du, mark_weights)
+    zeros = tuple(np.broadcast_to(0.0, a.shape) for a in (dy, dz, du))
+    return _contraction_distance((dy, dz, du), zeros, bundle, exponents, mark_weights)
 
 
 def scale_solution(sol: "BackwardSolution", s: float) -> "BackwardSolution":

@@ -327,8 +327,8 @@ def scale_problem_data(spec: ProblemSpec, s: float) -> ProblemSpec:
     Uses f_s(y, z, u) = s f(y/s, z/s, u/s), which for drivers linear in
     (y, z, u) scales exactly the inhomogeneous part; together with the
     scaled terminal and obstacle the solution fields scale linearly."""
-    if s <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < s < np.inf:
+        raise ValueError(f"scale s must be positive and finite, got {s!r}")
     return _rescale_data(spec, lambda t: s, s)
 
 
@@ -343,13 +343,13 @@ def data_norms(sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> 
     A = bundle.A_path
     term = np.exp(0.5 * p * beta * A[:, -1]) * np.abs(sol.y[:, -1]) ** p
     steps = bundle.grid.steps
-    varphi = np.empty_like(A[:, :-1])
-    for i, t in enumerate(bundle.grid.nodes[:-1]):
-        varphi[:, i] = spec.coeffs.varphi(float(t), bundle.forward_states[:, i])
-    inhom = np.sum(np.exp(beta * A[:, :-1]) * varphi ** p * steps[None, :], axis=1)
-    obst = np.max(
-        (np.exp(0.5 * q * beta * A) * np.maximum(sol.obstacle, 0.0)) ** p, axis=1
-    )
+    inhom, obst = np.zeros(A.shape[0]), np.zeros(A.shape[0])
+    for i, t in enumerate(bundle.grid.nodes):
+        L_i = np.maximum(sol.obstacle[:, i], 0.0)
+        np.maximum(obst, (np.exp(0.5 * q * beta * A[:, i]) * L_i) ** p, out=obst)
+        if i < steps.size:  # a full column, so a scalar varphi takes the array ** p
+            varphi = np.full(A.shape[0], spec.coeffs.varphi(float(t), bundle.forward_states[:, i]))
+            inhom += np.exp(beta * A[:, i]) * varphi ** p * steps[i]
     return float(np.mean(term) + np.mean(inhom) + np.mean(obst))
 
 

@@ -289,6 +289,13 @@ class TestNormalizeDriver:
         with pytest.raises(ValueError, match="state-independent"):
             rb.normalize_driver(spec)
 
+    # a NaN knob used to pass the sign check and make R NaN at every node
+    # but the first
+    @pytest.mark.parametrize("eps_knob", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_knob_named(self, eps_knob):
+        with pytest.raises(ValueError, match="^eps_knob must be nonnegative and finite"):
+            rb.normalize_driver(rb.build_problem("linear_y"), eps_knob=eps_knob)
+
 
 def test_equality_rtol_is_strict():
     assert EQUALITY_RTOL == 1e-8

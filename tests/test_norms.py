@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,138 @@ class TestWeightedDistance:
             assert abs(got - want) <= 1e-13 * want
 
 
+# The full-grid expressions that the node-by-node sums replaced, kept as
+# references. The solver's grids are column-major, so np.sum along the node
+# axis adds one column at a time, and the sums must agree bit for bit.
+def reference_weights(bundle, exponents):
+    A = bundle.A_path
+    return np.exp(0.5 * exponents.p * exponents.beta * A), np.exp(exponents.beta * A)
+
+
+def reference_norm_parts(y, z, u, k_total, bundle, exponents, lam):
+    p, steps = exponents.p, bundle.grid.steps
+    w_half, w_full = reference_weights(bundle, exponents)
+    lam = np.asarray(lam, dtype=float)
+    sup_term = np.max(w_half * np.abs(y) ** p, axis=1)
+    dA = np.diff(bundle.A_path, axis=1)
+    sA_term = np.sum(w_half[:, :-1] * np.abs(y[:, :-1]) ** p * dA, axis=1)
+    h_term = np.sum(w_full[:, :-1] * z[:, :-1] ** 2 * steps[None, :], axis=1) ** (p / 2.0)
+    if u.shape[2]:
+        u2l = np.sum(lam[None, None, :] * u**2, axis=2)
+        l_lam = np.sum(w_full[:, :-1] * u2l[:, :-1] * steps[None, :], axis=1) ** (p / 2.0)
+        real = np.sum(u[:, :-1, :] ** 2 * bundle.jump_counts, axis=2)
+        l_mu = np.sum(w_full[:, :-1] * real, axis=1) ** (p / 2.0)
+    else:
+        l_lam = l_mu = np.zeros(y.shape[0])
+    return sup_term, sA_term, h_term, l_lam, l_mu, np.abs(k_total) ** p
+
+
+def reference_distance(dy, dz, du, bundle, exponents, lam):
+    p = exponents.p
+    w_half, w_full = reference_weights(bundle, exponents)
+    y_dA = w_half[:, :-1] * np.diff(bundle.A_path, axis=1)
+    dt = w_full[:, :-1] * bundle.grid.steps
+    total = float(np.mean(np.sum(y_dA * np.abs(dy[:, :-1]) ** p, axis=1)))
+    total += float(np.mean(np.sum(dt * dz[:, :-1] ** 2, axis=1) ** (p / 2.0)))
+    if du.shape[2]:
+        u2l = sum(lam[j] * du[:, :-1, j] ** 2 for j in range(du.shape[2]))
+        total += float(np.mean(np.sum(dt * u2l, axis=1) ** (p / 2.0)))
+    return total ** (1.0 / p)
+
+
+def reference_data_norms(sol, spec, bundle):
+    p, q, beta = spec.exponents.p, spec.exponents.q, spec.exponents.beta
+    A, steps = bundle.A_path, bundle.grid.steps
+    term = np.exp(0.5 * p * beta * A[:, -1]) * np.abs(sol.y[:, -1]) ** p
+    varphi = np.empty_like(A[:, :-1])
+    for i, t in enumerate(bundle.grid.nodes[:-1]):
+        varphi[:, i] = spec.coeffs.varphi(float(t), bundle.forward_states[:, i])
+    inhom = np.sum(np.exp(beta * A[:, :-1]) * varphi ** p * steps[None, :], axis=1)
+    obst = np.max((np.exp(0.5 * q * beta * A) * np.maximum(sol.obstacle, 0.0)) ** p, axis=1)
+    return float(np.mean(term) + np.mean(inhom) + np.mean(obst))
+
+
+def same(a, b) -> bool:
+    """Equal, with NaN equal to NaN."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
+# beta A_T is about 2600 here, so e^{beta A} is inf on the later nodes; the
+# zeroed paths then read inf * 0 = NaN
+OVERFLOW_BETA = 1e5
+
+
+@pytest.fixture(scope="module", params=["linear_z", "linear_gamma"])  # m = 0 and m = 2
+def iterates(request):
+    """A problem, its bundle and two penalized solves on it. The second
+    has y zeroed and z equal to the first's on five paths."""
+    spec = rb.build_problem(request.param)
+    bundle = rb.sample_paths(spec, rb.build_grid(1.0, 20), 1000, seed=6)
+    a, b = (rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=2), n) for n in (4.0, 8.0))
+    y, z = b.y.copy(order="F"), b.z.copy(order="F")
+    y[:5], z[:5] = 0.0, a.z[:5]
+    return spec, bundle, a, replace(b, y=y, z=z)
+
+
+class TestExactReferences:
+    @pytest.mark.parametrize("beta", [None, OVERFLOW_BETA], ids=["default_beta", "overflow"])
+    def test_norm_parts_and_reports(self, iterates, beta):
+        spec, bundle, _, sol = iterates
+        if beta is not None:
+            spec = replace(spec, exponents=spec.exponents.with_beta(beta))
+        e, lam = spec.exponents, sol.mark_weights
+        k_total = sol.k_cum[:, -1] + sol.k_jump_T
+        with np.errstate(all="ignore"):
+            got = rb.norms._norm_parts(sol.y, sol.z, sol.u, k_total, bundle, e, lam)
+            want = reference_norm_parts(sol.y, sol.z, sol.u, k_total, bundle, e, lam)
+            report = rb.estimate_norms(sol, bundle, e)
+            lenglart = rb.lenglart_check(sol, bundle, e)
+            data = (rb.verify.data_norms(sol, spec, bundle), reference_data_norms(sol, spec, bundle))
+            stats = [rb.norms._mc(w) for w in want]
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and same(g, w)
+        # the report's fields are (mean, se) of each part, in order
+        assert same(list(report.values().values()), [x for mean_se in stats for x in mean_se])
+        assert same(lenglart[:2], [stats[4][0], stats[3][0]])
+        assert same(*data)
+        if beta is not None:
+            assert np.isinf(want[0]).any() and np.isnan(want[0]).any()
+
+    @pytest.mark.parametrize("beta", [None, OVERFLOW_BETA], ids=["default_beta", "overflow"])
+    def test_contraction_distance(self, iterates, beta):
+        spec, bundle, a, b = iterates
+        e, lam = spec.exponents, spec.marks.weights_array()
+        if beta is not None:
+            e = e.with_beta(beta)
+        with np.errstate(all="ignore"):
+            got = rb.norms._contraction_distance((b.y, b.z, b.u), (a.y, a.z, a.u), bundle, e, lam)
+            wrapped = rb.weighted_distance(b.y - a.y, b.z - a.z, b.u - a.u, bundle, e, lam)
+            want = reference_distance(b.y - a.y, b.z - a.z, b.u - a.u, bundle, e, lam)
+        assert same(got, want) and same(wrapped, want)
+        assert math.isnan(want) if beta is not None else math.isfinite(want)
+
+    @pytest.mark.parametrize("name", ["linear_z", "linear_gamma"])
+    def test_contraction_distance_on_few_paths(self, name):
+        # with 4 paths a rounding change in one path's sum over 200 nodes
+        # reaches the mean; the fields are random column-major grids, and
+        # each case moves one field so that no term hides in another's sum
+        spec = rb.build_problem(name)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 200), 4, seed=3)
+        rng, m = np.random.default_rng(4), spec.marks.m
+        new, old = ([np.asfortranarray(rng.standard_normal(shape)) for shape in
+                     [(4, 201), (4, 201), (4, 201, m)]] for _ in range(2))
+        lam = spec.marks.weights_array()
+        for beta in (spec.exponents.beta, 50.0 * spec.exponents.beta):
+            e = spec.exponents.with_beta(beta)
+            for k in range(3):
+                moved = [a if j == k else b for j, (a, b) in enumerate(zip(new, old))]
+                diff = [a - b for a, b in zip(moved, old)]
+                got = rb.norms._contraction_distance(moved, old, bundle, e, lam)
+                assert got == reference_distance(*diff, bundle, e, lam), (beta, k)
+                assert rb.weighted_distance(*diff, bundle, e, lam) == got
+
+
 class TestLenglartCheck:
     def test_zero_field(self, counter_bundle, zero_beta_exponents):
         sol = constant_solution(counter_bundle, u=(0.0,), lam=(2.0,))
@@ -175,6 +308,12 @@ class TestPowerSumBound:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             rb.power_sum_bound([1.0], 0.5)
+
+    # NaN used to return (nan, nan) and inf an infinite or NaN pair
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_bad_p_named(self, p):
+        with pytest.raises(ValueError, match="^p must be finite and at least 1"):
+            rb.power_sum_bound([1.0], p)
 
     @given(st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=20),
            st.floats(min_value=1.0, max_value=4.0))

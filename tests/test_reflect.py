@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rbsdej as rb
+from rbsdej.model import EQUALITY_RTOL
 
 
 def with_zu_driver(spec):
@@ -303,7 +304,43 @@ class TestDPOracle:
         assert rel <= 0.01
 
 
+def reference_skorokhod(sol, spec, bundle):
+    """The full-grid report that the node-by-node sums replaced."""
+    L = sol.obstacle
+    dKc = np.diff(sol.k_cum, axis=1)
+    clearance = sol.y[:, :-1] - L[:, :-1]
+    formula = rb.reflect._terminal_jump_formula(spec, bundle, sol.y, L)
+    tol_k = 1e-10 * (1.0 + float(np.max(sol.k_cum[:, -1], initial=0.0)))
+    tol_y = EQUALITY_RTOL * (1.0 + np.abs(L[:, :-1]))
+    return rb.SkorokhodReport(
+        flat_integral=abs(float(np.mean(np.sum(clearance * dKc, axis=1)))),
+        jump_condition_residual=float(np.mean(np.abs(sol.k_jump_T - formula))),
+        complementarity_violation_fraction=float(np.mean((dKc > tol_k) & (clearance > tol_y))),
+        terminal_jump_mass=float(np.mean(sol.k_jump_T)),
+    )
+
+
 class TestSkorokhodReport:
+    def test_matches_the_full_grid_reference(self, put_spec, put_bundle_small, basis3):
+        # a penalized solve, its terminal-jump split, the oracle, and a
+        # synthetic solution with K increments off the obstacle and a
+        # terminal jump on every path, so that every field is nonzero
+        sol = rb.solve_penalized(put_spec, put_bundle_small, basis3, 4.0)
+        n = put_bundle_small.n_paths
+        off = np.where(sol.y[:, :-1] > sol.obstacle[:, :-1] + 0.01, 1e-3, 0.0)
+        k_cum = sol.k_cum + np.cumsum(np.hstack([np.zeros((n, 1)), off]), axis=1)
+        synthetic = replace(sol, k_cum=np.asfortranarray(k_cum), k_jump_T=np.full(n, 0.01))
+        cases = [
+            sol,
+            rb.reflect.extract_terminal_jump(sol, put_spec, put_bundle_small, 4.0),
+            rb.solve_reflected_dp_oracle(put_spec, put_bundle_small, basis3),
+            synthetic,
+        ]
+        for case in cases:
+            got = rb.skorokhod_report(case, put_spec, put_bundle_small)
+            assert got == reference_skorokhod(case, put_spec, put_bundle_small)
+        assert all(v != 0.0 for v in vars(got).values()), got
+
     def test_dp_complementarity_exact(self, put_spec, put_bundle_small, basis3):
         dp = rb.solve_reflected_dp_oracle(put_spec, put_bundle_small, basis3)
         rep = rb.skorokhod_report(dp, put_spec, put_bundle_small)

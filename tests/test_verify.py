@@ -227,6 +227,12 @@ class TestScaleProblemData:
         for field in ("y", "z", "u", "k_cum", "k_jump_T", "obstacle"):
             np.testing.assert_array_equal(getattr(sol2, field), s * getattr(sol1, field))
 
+    # NaN and inf used to return a spec whose data were NaN
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_bad_scale_named(self, put_spec, s):
+        with pytest.raises(ValueError, match="^scale s must be positive and finite"):
+            rb.scale_problem_data(put_spec, s)
+
 
 class TestDataNorms:
     # the inhomogeneity term is the given spec's, not the sampling spec's,
