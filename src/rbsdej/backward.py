@@ -22,7 +22,6 @@ from .simulate import PathBundle
 Array = np.ndarray
 
 BISECT_TOL = 1e-12
-_AFFINE_RTOL = 1e-8
 
 
 class RegressionRankError(RuntimeError):
@@ -40,7 +39,8 @@ class RegressionBasis:
     degree: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.degree, (int, np.integer)) and self.degree >= 0):
+        if not (isinstance(self.degree, (int, np.integer)) and not isinstance(self.degree, bool)
+                and self.degree >= 0):
             raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
 
 
@@ -225,10 +225,12 @@ def _solve_implicit_step(
     """Root of y = c + dt f(y) + n dt (y - L)^- for every path at once.
 
     c is (n,) or an (n, K) block of K equations, with n_penalty a float or
-    one level per column and L broadcasting against c. Closed two-branch
-    form when the driver is affine in y on the step (probed at three
-    spread points) and that form solves the equation to the bisection
-    tolerance; vectorized bisection with bracket expansion otherwise.
+    one level per column and L broadcasting against c. The closed
+    two-branch form of the driver's secant over [c, c + h], h = |c| + 1,
+    whenever its residual certifies it as the root to the bisection
+    tolerance, as it does for a driver affine in y; vectorized bisection
+    with bracket expansion otherwise. A secant slope of 1/dt or more
+    breaks the monotonicity bound alpha dt < 1 and is an error.
     """
 
     pen_rate = n_penalty * dt
@@ -248,51 +250,38 @@ def _solve_implicit_step(
     h = np.abs(c)
     h += 1.0
     f0 = fy(c)
-    f1 = fy(c + h)
-    f2 = fy(c + 2.6 * h)
-    s1 = f1 - f0
-    s1 /= h  # (f1 - f0) / h
-    h *= 1.6
-    s2 = f2 - f1  # f0, f1, f2 may be the driver's own arrays: never written
-    s2 /= h  # (f2 - f1) / (1.6 h)
-    slope_scale = np.abs(s1)
-    slope_scale += 1.0
-    slope_scale += np.abs(s2)
-    np.subtract(s2, s1, out=s2)
-    affine = np.abs(s2, out=s2) <= _AFFINE_RTOL * slope_scale
-
-    if np.all(affine):
-        b = s1
-        f_at_0 = np.subtract(f0, b * c)
-        denom_free = b * dt
-        np.subtract(1.0, denom_free, out=denom_free)
-        denom_pen = denom_free + pen_rate
-        bad = (denom_free <= 1e-12) | (denom_pen <= 1e-12)
-        if np.any(bad):
-            at, where = _flagged(bad, n_penalty)
-            raise SolverError(
-                f"implicit step unstable at step {step_index}, {where}: "
-                f"driver slope {float(np.broadcast_to(b, bad.shape)[at])!r} too large for dt={dt!r}"
-            )
-        y_free = f_at_0
-        y_free *= dt
-        y_free += c  # c + f(0) dt
-        y = np.multiply(L, pen_rate, out=np.empty_like(c))
-        y += y_free
-        y /= denom_pen  # y_pen = (c + f(0) dt + n dt L) / (1 - b dt + n dt)
-        y_free /= denom_free
-        # monotone one-branch consistency; ties land on the obstacle
-        tie = (y_free < L) & (y > L)
-        np.copyto(y, y_free, where=y_free >= L)
-        np.copyto(y, np.broadcast_to(L, y.shape), where=tie)
-        # the probes sit at and above c, so a curvature near a root below
-        # them (or one within _AFFINE_RTOL) shows only in the residual;
-        # |g(y)| / g'(y) bounds the distance to the root
-        slope = denom_free  # g'(y)
-        np.copyto(slope, denom_pen, where=y < L)
-        slope *= BISECT_TOL * (1.0 + float(np.max(np.abs(y))))
-        if np.all(np.abs(g(y)) <= slope):
-            return y
+    b = fy(c + h) - f0  # f0 may be the driver's own array: never written
+    b /= h  # the secant slope (f(c + h) - f(c)) / h
+    f_at_0 = np.subtract(f0, b * c)
+    denom_free = b * dt
+    np.subtract(1.0, denom_free, out=denom_free)
+    denom_pen = denom_free + pen_rate
+    bad = (denom_free <= 1e-12) | (denom_pen <= 1e-12)
+    if np.any(bad):
+        at, where = _flagged(bad, n_penalty)
+        raise SolverError(
+            f"implicit step unstable at step {step_index}, {where}: "
+            f"driver slope {float(np.broadcast_to(b, bad.shape)[at])!r} too large for dt={dt!r}"
+        )
+    y_free = f_at_0
+    y_free *= dt
+    y_free += c  # c + f(0) dt
+    y = np.multiply(L, pen_rate, out=np.empty_like(c))
+    y += y_free
+    y /= denom_pen  # y_pen = (c + f(0) dt + n dt L) / (1 - b dt + n dt)
+    y_free /= denom_free
+    # monotone one-branch consistency; ties land on the obstacle
+    tie = (y_free < L) & (y > L)
+    np.copyto(y, y_free, where=y_free >= L)
+    np.copyto(y, np.broadcast_to(L, y.shape), where=tie)
+    # the secant is exact for a driver affine in y; any curvature between
+    # the probes and the root shows in the residual, and |g(y)| / g'(y)
+    # bounds the distance to the root
+    slope = denom_free  # g'(y)
+    np.copyto(slope, denom_pen, where=y < L)
+    slope *= BISECT_TOL * (1.0 + float(np.max(np.abs(y))))
+    if np.all(np.abs(g(y)) <= slope):
+        return y
 
     lo = np.minimum(c, L) - 1.0 - dt * np.abs(f0)
     hi = np.maximum(c, L) + 1.0 + dt * np.abs(f0)

@@ -28,8 +28,9 @@ class AssumptionError(ValueError):
 
 
 def _require_count(name: str, value: object, least: int) -> int:
-    """``value`` as an int; a ValueError naming ``name`` unless it is an integer >= ``least``."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """``value`` as an int; a ValueError naming ``name`` unless it is an
+    integer >= ``least`` (a bool is not a count)."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
 

@@ -223,6 +223,9 @@ def jump_inequality_suite(
     seed: int = 0,
 ) -> PropertyResult:
     """Uniform random sweep of the jump inequality over [-JUMP_BOX, JUMP_BOX]^2."""
+    _require_count("n_samples", n_samples, 1)
+    if not len(p_values):
+        raise ValueError("p_values must hold at least one exponent")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x11]))
     tally = _Tally()
     for p in p_values:
@@ -253,6 +256,8 @@ def comparison_suite(
     floor of 1e-10 relative to scale, so noise-free problems are held to
     exact monotonicity).
     """
+    if not len(n_pairs):
+        raise ValueError("n_pairs must hold at least one pair")
     if driver_uses_zu(spec):
         raise ValueError("comparison_suite requires a driver independent of (z, u)")
     tally = _Tally()
@@ -503,7 +508,7 @@ def make_synthetic_solution(bundle: PathBundle, u: Array, mark_weights: Array) -
     """Wrap a jump-response field into a solution shell (zero Y, Z, K and
     obstacle) so the norm estimators can run on it."""
     n, nodes = bundle.n_paths, bundle.grid.nodes.size
-    zeros = np.zeros((n, nodes))
+    zeros = np.zeros((n, nodes), order="F")
     return BackwardSolution(
         y=zeros, z=zeros, u=u, k_cum=zeros, k_jump_T=np.zeros(n), obstacle=zeros,
         run=RunRecord(), mark_weights=np.asarray(mark_weights, dtype=float),
@@ -522,7 +527,7 @@ def lenglart_sweep(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x13]))
     tally = _Tally()
-    for c in range(n_configs):
+    for c in range(_require_count("n_configs", n_configs, 1)):
         m = int(rng.integers(1, 4))
         weights = tuple(float(w) for w in rng.uniform(0.2, 2.0, m))
         marks = tuple(float(e) for e in rng.uniform(-1.0, 1.0, m))
@@ -539,9 +544,10 @@ def lenglart_sweep(
         base = rng.uniform(-2.0, 2.0, m)
         wobble = rng.uniform(0.5, 3.0, m)
         path_factor = 1.0 + 0.5 * rng.random(n_paths)
-        u = (
-            path_factor[:, None, None]
-            * (base[None, None, :] + np.sin(wobble[None, None, :] * t_nodes[None, :, None]))
+        u = np.multiply(
+            path_factor[:, None, None],
+            base[None, None, :] + np.sin(wobble[None, None, :] * t_nodes[None, :, None]),
+            out=np.empty((n_paths, t_nodes.size, m), order="F"),
         )
         sol = make_synthetic_solution(bundle, u, np.asarray(weights))
         lhs, rhs, ok = lenglart_check(sol, bundle, spec.exponents)

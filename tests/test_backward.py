@@ -53,7 +53,8 @@ class TestCondexpRegression:
         with pytest.raises(rb.RegressionRankError, match="degree"):
             rb.backward._fit_slice(np.arange(3.0), np.arange(3.0), rb.RegressionBasis(degree=5))
 
-    @pytest.mark.parametrize("degree", [2.5, 3.0, -1, "3"])
+    # True used to be accepted as degree 1
+    @pytest.mark.parametrize("degree", [2.5, 3.0, -1, "3", True])
     def test_bad_degree_named(self, degree):
         with pytest.raises(ValueError, match="^degree must be a nonnegative integer"):
             rb.RegressionBasis(degree=degree)
@@ -288,8 +289,8 @@ def _root_width(y):
 class TestImplicitStep:
     @given(_step_rows, _dt, _level)
     @settings(max_examples=200, deadline=None)
-    # tanh is flat to 1e-8 at the probes c, c + h and c + 2.6 h but not at
-    # the root, which lies below c (first) or between c and L (second)
+    # tanh is flat to 1e-8 at the probes c and c + h but not at the root,
+    # which lies below c (first) or between c and L (second)
     @example(np.array([[8.0], [0.0], [0.0], [1.0], [1.0]]), 0.5, 0.0)
     @example(np.array([[8.0], [9.0], [0.0], [1.0], [1.0]]), 0.5, 10.0)
     def test_root_solves_the_step_equation(self, rows, dt, n):
@@ -313,8 +314,8 @@ class TestImplicitStep:
     @given(_step_rows, _dt, _level)
     @settings(max_examples=200, deadline=None)
     def test_closed_form_matches_bisection(self, rows, dt, n):
-        # one curved path (tanh at 0) sends the whole batch to bisection;
-        # the closed form costs three probes and one residual evaluation
+        # one curved path (tanh at c = 1) sends the whole batch to bisection;
+        # the closed form costs two probes and one residual evaluation
         c, L, a, b, _ = rows
         calls = []
 
@@ -322,9 +323,9 @@ class TestImplicitStep:
             return lambda y: calls.append(1) or fy(y)
 
         closed = rb.backward._solve_implicit_step(counted(_step_driver(a, b, 0.0)), c, L, dt, n, 0)
-        assert len(calls) == 4
+        assert len(calls) == 3
         a, b, k, c, L = (np.append(v, e) for v, e in
-                         ((a, 0.0), (b, 0.0), (np.zeros_like(a), 1.0), (c, 0.0), (L, 0.0)))
+                         ((a, 0.0), (b, 0.0), (np.zeros_like(a), 1.0), (c, 1.0), (L, 0.0)))
         bisected = rb.backward._solve_implicit_step(counted(_step_driver(a, b, k)), c, L, dt, n, 0)
         assert len(calls) > 8
         assert np.max(np.abs(bisected[:-1] - closed)) <= 2.0 * _root_width(bisected)
@@ -339,6 +340,14 @@ class TestImplicitStep:
         c, L = np.array([0.2, 0.52, 1.0]), np.zeros(3)
         with pytest.raises(rb.SolverError, match=r"^no finite root of the implicit step at step 7, path 1:"):
             rb.backward._solve_implicit_step(fy, c, L, 0.1, 0.0, 7)
+
+    def test_curved_driver_with_a_steep_secant_is_unstable(self):
+        # 30 tanh(y) breaks alpha dt < 1 at dt = 0.1: the step equation has
+        # the three roots 0 and +-2.98, and the secant over [0, 1] (22.8)
+        # names the step instead of returning one of them
+        with pytest.raises(rb.SolverError, match=r"step 4, path 0: driver slope"):
+            rb.backward._solve_implicit_step(lambda y: 30.0 * np.tanh(y), np.zeros(3),
+                                             np.full(3, -10.0), 0.1, 0.0, 4)
 
 
 def _solve_scheme(scheme):

@@ -36,8 +36,8 @@ class TestSchedule:
         with pytest.raises(ValueError):
             rb.PenalizationSchedule(n_values=(), stop_tol=1e-3)
 
-    # 2.5 used to raise a TypeError from range
-    @pytest.mark.parametrize("levels", [2.5, 11.0, 0, -1])
+    # 2.5 used to raise a TypeError from range, and True built one level
+    @pytest.mark.parametrize("levels", [2.5, 11.0, 0, -1, True])
     def test_level_count_named(self, levels):
         with pytest.raises(ValueError, match="^levels must be an integer of at least 1"):
             rb.PenalizationSchedule.geometric(1.0, levels, 1e-3)

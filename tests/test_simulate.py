@@ -19,8 +19,8 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             rb.build_grid(T, N)
 
-    # 2.5 used to build a 2-step grid
-    @pytest.mark.parametrize("N", [2.5, 4.0, "4", 0, -1])
+    # 2.5 used to build a 2-step grid, and True a 1-step one
+    @pytest.mark.parametrize("N", [2.5, 4.0, "4", 0, -1, True])
     def test_step_count_named(self, N):
         with pytest.raises(ValueError, match="^N must be an integer of at least 1"):
             rb.build_grid(1.0, N)
@@ -56,12 +56,12 @@ def assert_same_bundle(a, b):
 
 
 class TestSamplePaths:
-    # n_paths=2.5 used to raise an unnamed TypeError, and n_threads 0 or -3
-    # to run serial
+    # n_paths=2.5 or True used to raise an unnamed TypeError, and n_threads
+    # 0 or -3 to run serial
     @pytest.mark.parametrize("kwargs, field", [
         ({"n_paths": 2.5}, "n_paths"), ({"n_paths": 0}, "n_paths"),
         ({"n_threads": 0}, "n_threads"), ({"n_threads": -3}, "n_threads"),
-        ({"n_threads": 2.0}, "n_threads"),
+        ({"n_threads": 2.0}, "n_threads"), ({"n_paths": True}, "n_paths"),
     ])
     def test_counts_named(self, kwargs, field):
         kwargs = {"n_paths": 4, **kwargs}
@@ -155,4 +155,7 @@ class TestBundleIO:
         grids = [b.brownian_increments, b.jump_counts, b.forward_states,
                  b.A_path, rb.backward.obstacle_on_grid(spec, b)]
         grids += [getattr(c, k.name) for k in fields(c)]
+        # and so is the zero shell the norm checks wrap a synthetic U field in
+        shell = rb.verify.make_synthetic_solution(b, np.zeros((300, 10, 2), order="F"), np.ones(2))
+        grids += [shell.y, shell.z, shell.k_cum, shell.obstacle]
         assert all(g.flags.f_contiguous for g in grids)

@@ -326,6 +326,19 @@ class TestFailingBranches:
         if case == "contraction_nan":
             assert "at Picard iteration 1; largest beta*A_T" in res.witnesses[0][1]
 
+    # each of these ran no trial: the empty ones passed with trials=0, and
+    # n_samples=0 raised numpy's unnamed zero-size ValueError
+    @pytest.mark.parametrize("field", ["p_values", "n_samples", "n_pairs", "n_configs"])
+    def test_zero_trials_named(self, field, flat_spec, flat_bundle_coarse, basis0):
+        run = {
+            "p_values": lambda: rb.jump_inequality_suite(n_samples=10, p_values=()),
+            "n_samples": lambda: rb.jump_inequality_suite(n_samples=0),
+            "n_pairs": lambda: rb.comparison_suite(flat_spec, flat_bundle_coarse, basis0, n_pairs=[]),
+            "n_configs": lambda: rb.lenglart_sweep(n_configs=0),
+        }[field]
+        with pytest.raises(ValueError, match=rf"^{field} must "):
+            run()
+
 
 class TestPropertyResultPlumbing:
     def test_witness_invariant(self):
