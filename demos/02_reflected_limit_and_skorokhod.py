@@ -38,6 +38,7 @@ print()
 print("Skorokhod audit of the final solution:")
 rep = run.skorokhod
 print(f"  flat integral |sum (Y-L) dK^c|      = {rep.flat_integral:.3e}")
+print(f"  jump condition residual             = {rep.jump_condition_residual:.3e}   (should be ~0)")
 print(f"  complementarity violation fraction  = {rep.complementarity_violation_fraction:.3e}")
 print(f"  terminal jump mass                  = {rep.terminal_jump_mass:.6f}")
 

@@ -353,7 +353,6 @@ def _backward(
     step: StepRule,
     frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
-    terminal_jump: Callable[[Array, Array, Array], Array] | None = None,
     columns: int = 1,
     observe: Observer = lambda *args: None,
     obstacle: Array | None = None,
@@ -365,9 +364,7 @@ def _backward(
     jump responses off the fitted continuation at jump-shifted states (or
     regress against compensated counts); regress y_{i+1} dB_i / dt_i for
     z_i; then ``step(fy, c, L_i, dt, i)`` returns (y_i, dK_i), with fy(y)
-    the driver at the step's (z, u). ``terminal_jump(y, L, dK_last)``, when
-    given, returns the part of the last increment that is the predictable
-    jump of K at T.
+    the driver at the step's (z, u).
 
     ``columns`` equations (the levels of a penalty schedule) share the
     sweep: each slice fits all their targets in one solve, ``step`` sees
@@ -455,12 +452,8 @@ def _backward(
         y[:, i], z[:, i], u[:, i, :], k_inc[:, i] = y_i[:, -1], z_i[:, -1], u_i[:, -1, :], dk_i[:, -1]
         y_next = y_i
 
-    k_jump_T = np.zeros(n_paths)
-    if terminal_jump is not None:
-        k_jump_T = terminal_jump(y, L_nodes, k_inc[:, -1])
-        k_inc[:, -1] -= k_jump_T
     return BackwardSolution(
-        y=y, z=z, u=u, k_cum=_running_sum(k_inc), k_jump_T=k_jump_T, obstacle=L_nodes,
+        y=y, z=z, u=u, k_jump_T=np.zeros(n_paths), k_cum=_running_sum(k_inc), obstacle=L_nodes,
         run=RunRecord(y0_stderr=y0_stderr[-1]), mark_weights=lam,
     )
 

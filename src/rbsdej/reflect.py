@@ -69,8 +69,8 @@ class SkorokhodReport:
 
     flat_integral: |MC mean of sum_i (y_i - L_i) dK^c_i| — magnitude of
     the violation of "K^c grows only on {Y = L}".
-    jump_condition_residual: MC mean of |k_jump_T - (Y_T - L_{T-})^-
-    1{Y_{T-} = L_{T-}}| with Y_{T-} proxied by the last interior node.
+    jump_condition_residual: MC mean of |k_jump_T - (L_{T-} - xi)^+|,
+    against the jump that the data force at T.
     complementarity_violation_fraction: fraction of (path, node) with a
     K-increment and simultaneous positive clearance above the obstacle.
     terminal_jump_mass: MC mean of k_jump_T.
@@ -170,21 +170,15 @@ def penalty_error(
     return _LevelSums.of(sol, spec, bundle).penalty_error(0)
 
 
-def _terminal_jump_indicator(spec: ProblemSpec, bundle: PathBundle) -> Array:
-    """Paths on which the data force a predictable jump of K at T:
-    the obstacle's left limit sits strictly above the terminal payoff."""
+def _terminal_jump(spec: ProblemSpec, bundle: PathBundle) -> Array:
+    """The predictable jump of K at T that the data force, per path. As
+    Y_{T-} >= L_{T-}, Y_T = xi and K jumps only on the barrier, it is
+    (L_{T-} - xi)^+ where the obstacle's left limit exceeds the terminal
+    value by more than EQUALITY_RTOL (1 + |xi|), and 0 elsewhere."""
     xN = bundle.forward_states[:, -1]
     xi = spec.terminal_values(xN)
-    ltm = spec.obstacle_left_limit(xN)
-    return ltm > xi + EQUALITY_RTOL * (1.0 + np.abs(xi))
-
-
-def _terminal_jump_formula(spec: ProblemSpec, bundle: PathBundle, y: Array, L: Array) -> Array:
-    """(Y_T - L_{T-})^- 1{Y_{T-} = L_{T-}} per path, with Y_{T-} proxied by
-    the last interior node."""
-    ltm = spec.obstacle_left_limit(bundle.forward_states[:, -1])
-    eq = np.abs(y[:, -2] - L[:, -2]) <= EQUALITY_RTOL * (1.0 + np.abs(L[:, -2]))
-    return np.maximum(ltm - y[:, -1], 0.0) * eq
+    gap = spec.obstacle_left_limit(xN) - xi
+    return np.where(gap > EQUALITY_RTOL * (1.0 + np.abs(xi)), gap, 0.0)
 
 
 def extract_terminal_jump(
@@ -205,7 +199,7 @@ def extract_terminal_jump(
     w_start = int(np.searchsorted(nodes, cut, side="right")) - 1
     w_start = min(max(w_start, 0), nodes.size - 2)
 
-    ind = _terminal_jump_indicator(spec, bundle)
+    ind = _terminal_jump(spec, bundle) > 0.0
     layer_mass = sol.k_cum[:, -1] - sol.k_cum[:, w_start]
     jump = np.where(ind, layer_mass, 0.0)
     k_cum = sol.k_cum.copy(order="K")
@@ -231,8 +225,7 @@ def skorokhod_report(
         tol_y = EQUALITY_RTOL * (1.0 + np.abs(L[:, i]))
         viol += np.count_nonzero((dKc > tol_k) & (clearance > tol_y))
     flat = float(np.mean(flat))
-    formula = _terminal_jump_formula(spec, bundle, sol.y, L)
-    jump_residual = float(np.mean(np.abs(sol.k_jump_T - formula)))
+    jump_residual = float(np.mean(np.abs(sol.k_jump_T - _terminal_jump(spec, bundle))))
     frac = float(viol / (n * N))
 
     return SkorokhodReport(
@@ -332,20 +325,21 @@ def solve_reflected_dp_oracle(
 
     It shares the regression sweep with the penalized scheme; only the
     step differs. Complementarity holds exactly by construction (a
-    positive increment forces y_i = L_i). The terminal predictable jump is
-    (terminal - L_{T-})^- on paths whose last interior node sits on the
-    obstacle; the remaining last-step shortfall stays in K^c. The driver
-    is evaluated at the pass's own (z, u) fields.
+    positive increment forces y_i = L_i). The predictable jump at T is
+    the data's (``_terminal_jump``), capped by the last increment of K;
+    the rest of that increment stays in K^c. The driver is evaluated at
+    the pass's own (z, u) fields.
     """
 
     def projection_step(fy, c, L_i, dt, i):
         y_free = _solve_implicit_step(fy, c, L_i, dt, 0.0, i)
         return np.maximum(L_i, y_free), np.maximum(L_i - y_free, 0.0)
 
-    def split_terminal_jump(y, L, k_last):
-        return np.minimum(_terminal_jump_formula(spec, bundle, y, L), k_last)
-
-    return _backward(spec, bundle, basis, projection_step, terminal_jump=split_terminal_jump)
+    sol = _backward(spec, bundle, basis, projection_step)
+    k_cum = sol.k_cum  # split in place: a copy would be 41 MB at 100k x 51
+    jump = np.minimum(_terminal_jump(spec, bundle), k_cum[:, -1] - k_cum[:, -2])
+    k_cum[:, -1] -= jump
+    return replace(sol, k_jump_T=jump)
 
 
 def write_convergence_csv(table: Sequence[PenaltyLevelRow], fh) -> None:

@@ -122,6 +122,7 @@ def sample_paths(
     ``n_threads``.
     """
     _require_count("n_paths", n_paths, 1)
+    _require_count("seed", seed, 0)
     _require_count("n_threads", n_threads, 1)
     if abs(grid.horizon - spec.horizon) > 1e-12 * (1.0 + spec.horizon):
         raise ValueError("grid horizon does not match the problem horizon")

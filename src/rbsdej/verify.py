@@ -126,6 +126,7 @@ def validate_assumptions(
     1 - varphi_min enters its worst margin, and a violation adds one
     ("varphi_min", value) failure unless every row failed already."""
     n = _require_count("probe_budget", probe_budget, 8)
+    _require_count("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
     T, m, x0 = spec.horizon, spec.marks.m, spec.forward.x0
     t_s = rng.uniform(0.0, T, n)
@@ -224,6 +225,7 @@ def jump_inequality_suite(
 ) -> PropertyResult:
     """Uniform random sweep of the jump inequality over [-JUMP_BOX, JUMP_BOX]^2."""
     _require_count("n_samples", n_samples, 1)
+    _require_count("seed", seed, 0)
     if not len(p_values):
         raise ValueError("p_values must hold at least one exponent")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x11]))
@@ -444,6 +446,8 @@ def contraction_suite(
     threshold = 2.0 * (e.p - 1.0) / e.p
     if beta_values is None:
         beta_values = (e.beta,)
+    if not len(beta_values):
+        raise ValueError("beta_values must hold at least one weight exponent")
     for b in beta_values:
         if b <= threshold:
             raise ValueError(f"beta={b!r} does not exceed the threshold {threshold!r}")
@@ -525,6 +529,8 @@ def lenglart_sweep(
     against the factor-2 domination of realized jump energy."""
     from .registry import pure_jump_counter
 
+    _require_count("n_steps", n_steps, 1)
+    _require_count("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x13]))
     tally = _Tally()
     for c in range(_require_count("n_configs", n_configs, 1)):

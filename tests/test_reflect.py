@@ -309,12 +309,13 @@ def reference_skorokhod(sol, spec, bundle):
     L = sol.obstacle
     dKc = np.diff(sol.k_cum, axis=1)
     clearance = sol.y[:, :-1] - L[:, :-1]
-    formula = rb.reflect._terminal_jump_formula(spec, bundle, sol.y, L)
+    xN = bundle.forward_states[:, -1]
+    jump = np.maximum(spec.obstacle_left_limit(xN) - spec.terminal_values(xN), 0.0)
     tol_k = 1e-10 * (1.0 + float(np.max(sol.k_cum[:, -1], initial=0.0)))
     tol_y = EQUALITY_RTOL * (1.0 + np.abs(L[:, :-1]))
     return rb.SkorokhodReport(
         flat_integral=abs(float(np.mean(np.sum(clearance * dKc, axis=1)))),
-        jump_condition_residual=float(np.mean(np.abs(sol.k_jump_T - formula))),
+        jump_condition_residual=float(np.mean(np.abs(sol.k_jump_T - jump))),
         complementarity_violation_fraction=float(np.mean((dKc > tol_k) & (clearance > tol_y))),
         terminal_jump_mass=float(np.mean(sol.k_jump_T)),
     )
@@ -376,6 +377,44 @@ class TestSkorokhodReport:
         )
         scale = abs(run.solution.y0_mean())
         assert run.skorokhod.flat_integral <= 5e-3 * scale
+
+
+class TestPenalizedJumpResidual:
+    """The audit of a penalized run measures the extracted terminal jump
+    against the jump that the data force, (L_{T-} - xi)^+, and not against
+    a proxy that the penalized y never meets (it used to read the
+    extracted mass itself)."""
+
+    @pytest.mark.parametrize("N", [10, 100, 1000])
+    def test_flat_obstacle_residual_is_the_missing_mass(self, N):
+        # the data force a unit jump on every path
+        spec = rb.build_problem("flat_obstacle")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, N), 4, seed=7)
+        run = rb.solve_reflected_penalization(
+            spec, bundle, rb.RegressionBasis(degree=0),
+            rb.PenalizationSchedule.geometric(1.0, 11, 1e-3),
+        )
+        rep = run.skorokhod
+        assert 0.9 < rep.terminal_jump_mass < 1.0
+        assert rep.jump_condition_residual == pytest.approx(1.0 - rep.terminal_jump_mass, abs=1e-12)
+
+    def test_brownian_terminal_under_a_dropping_barrier(self):
+        # L = 0.2 before T and xi = X_T: the data force (0.2 - X_T)^+
+        spec = replace(
+            rb.build_problem("brownian_terminal"),
+            obstacle=lambda t, x: np.full(np.shape(x), 0.2) if t < 1.0 else np.asarray(x, dtype=float),
+            obstacle_left_limit_T=lambda x: np.full(np.shape(x), 0.2),
+        )
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 25), 4000, seed=5)
+        run = rb.solve_reflected_penalization(
+            spec, bundle, rb.RegressionBasis(degree=3),
+            rb.PenalizationSchedule.geometric(1.0, 11, 1e-3),
+        )
+        rep = run.skorokhod
+        jump = np.maximum(0.2 - bundle.forward_states[:, -1], 0.0)
+        assert rep.jump_condition_residual == pytest.approx(
+            float(np.mean(np.abs(run.solution.k_jump_T - jump))), abs=1e-12)
+        assert rep.jump_condition_residual < 0.25 * rep.terminal_jump_mass
 
 
 class TestConvergenceCSV:

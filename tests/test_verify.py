@@ -327,16 +327,36 @@ class TestFailingBranches:
             assert "at Picard iteration 1; largest beta*A_T" in res.witnesses[0][1]
 
     # each of these ran no trial: the empty ones passed with trials=0, and
-    # n_samples=0 raised numpy's unnamed zero-size ValueError
-    @pytest.mark.parametrize("field", ["p_values", "n_samples", "n_pairs", "n_configs"])
+    # n_samples=0 raised numpy's unnamed zero-size ValueError; n_steps=2.5
+    # was named as build_grid's N
+    @pytest.mark.parametrize("field", ["p_values", "n_samples", "n_pairs", "n_configs",
+                                       "beta_values", "n_steps"])
     def test_zero_trials_named(self, field, flat_spec, flat_bundle_coarse, basis0):
         run = {
             "p_values": lambda: rb.jump_inequality_suite(n_samples=10, p_values=()),
             "n_samples": lambda: rb.jump_inequality_suite(n_samples=0),
             "n_pairs": lambda: rb.comparison_suite(flat_spec, flat_bundle_coarse, basis0, n_pairs=[]),
             "n_configs": lambda: rb.lenglart_sweep(n_configs=0),
+            "beta_values": lambda: rb.contraction_suite(flat_spec, flat_bundle_coarse, basis0,
+                                                        beta_values=()),
+            "n_steps": lambda: rb.lenglart_sweep(n_steps=2.5),
         }[field]
         with pytest.raises(ValueError, match=rf"^{field} must "):
+            run()
+
+    # None raised an unnamed TypeError, -1 and 2.5 numpy's unnamed errors,
+    # and True ran as seed 1
+    @pytest.mark.parametrize("seed", [None, -1, 2.5, True])
+    @pytest.mark.parametrize("entry", ["sample_paths", "validate_assumptions",
+                                       "jump_inequality_suite", "lenglart_sweep"])
+    def test_seed_named(self, entry, seed, flat_spec):
+        run = {
+            "sample_paths": lambda: rb.sample_paths(flat_spec, rb.build_grid(1.0, 4), 4, seed),
+            "validate_assumptions": lambda: rb.validate_assumptions(flat_spec, seed=seed),
+            "jump_inequality_suite": lambda: rb.jump_inequality_suite(n_samples=10, seed=seed),
+            "lenglart_sweep": lambda: rb.lenglart_sweep(n_configs=1, n_paths=10, seed=seed),
+        }[entry]
+        with pytest.raises(ValueError, match="^seed must be an integer of at least 0"):
             run()
 
 
