@@ -20,7 +20,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,14 +29,13 @@ import numpy as np
 from . import __version__
 from .backward import RegressionBasis, SolverError, _require_finite, solve_penalized
 from .model import AssumptionError
-from .norms import estimate_norms, write_record_csv
+from .norms import estimate_norms
 from .reflect import (
     PenalizationSchedule,
     _LevelSums,
     skorokhod_report,
     solve_reflected_dp_oracle,
     solve_reflected_penalization,
-    write_convergence_csv,
 )
 from .registry import PROBLEMS, ParameterError, build_problem
 from .simulate import build_grid, sample_paths
@@ -49,7 +48,6 @@ from .verify import (
     lenglart_sweep,
     penalty_decay_suite,
     summary_text,
-    write_properties_csv,
 )
 
 OUT_DIR_ENV = "RBSDEJ_OUT"
@@ -61,6 +59,12 @@ CLOCK_FLOOR = 1e-8
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+
+CONVERGENCE_COLUMNS = (
+    "n", "penalty_error", "Y0_mean", "Y0_stderr", "K_T_mean", "flat_integral", "wall_time",
+)
+PROPERTIES_COLUMNS = ("name", "trials", "failures", "worst_margin")
+SOLUTION_COLUMNS = ("y0_mean", "y0_stderr", "k_T_mean", "k_jump_T_mean")
 
 
 class ConfigError(ValueError):
@@ -205,15 +209,26 @@ def reproducibility_view(csv_text: str) -> str:
     return out.getvalue()
 
 
-def _write_solution_csv(sol, fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["y0_mean", "y0_stderr", "k_T_mean", "k_jump_T_mean"])
-    w.writerow([
-        repr(sol.y0_mean()),
-        repr(sol.run.y0_stderr),
-        repr(float(np.mean(sol.k_T()))),
-        repr(float(np.mean(sol.k_jump_T))),
-    ])
+def _write_csv(path: Path, header, rows) -> None:
+    """The one CSV writer: a header row, then every row of cell strings."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _record_table(name: str, record) -> tuple:
+    """A dataclass record as a table: its field names and one row of their reprs."""
+    names = [f.name for f in fields(record)]
+    return name, names, [[repr(getattr(record, n)) for n in names]]
+
+
+def _convergence_table(rows) -> tuple:
+    return "convergence.csv", CONVERGENCE_COLUMNS, [
+        [repr(v) for v in (r.n, r.penalty_error, r.y0_mean, r.y0_stderr, r.k_T_mean,
+                           r.flat_integral, r.wall_time)]
+        for r in rows
+    ]
 
 
 def _verify_all(config: ExperimentConfig, out: Path) -> bool:
@@ -256,8 +271,8 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
 
     results.append(lenglart_sweep(n_configs=25, n_paths=2_000, seed=seed))
 
-    with open(out / "properties.csv", "w", newline="") as fh:
-        write_properties_csv(results, fh)
+    _write_csv(out / "properties.csv", PROPERTIES_COLUMNS,
+               [[r.name, str(r.trials), str(r.failures), repr(r.worst_margin)] for r in results])
     text = summary_text(results)
     (out / "summary.txt").write_text(text + "\n")
     print(text)
@@ -287,32 +302,33 @@ def _simulate(config: ExperimentConfig, timings: list) -> tuple:
 
 def _solve(config: ExperimentConfig, spec, bundle, timings: list) -> tuple:
     """Run the configured solver mode, its diagnostics and its norm report.
-    Returns the solution and the (file name, writer, value) tables to
-    write; raises SolverError, before anything is written, on a non-finite
-    result."""
+    Returns the solution and the (file name, header, rows of cell strings)
+    tables to write; raises SolverError, before anything is written, on a
+    non-finite result."""
     basis = RegressionBasis(degree=config.degree)
     t = time.perf_counter()
     tables = []
     if config.mode == "reflected":
         res = solve_reflected_penalization(spec, bundle, basis, config.schedule())
         sol = res.solution
-        tables += [("convergence.csv", write_convergence_csv, res.table),
-                   ("skorokhod.csv", write_record_csv, res.skorokhod)]
+        tables += [_convergence_table(res.table), _record_table("skorokhod.csv", res.skorokhod)]
     elif config.mode == "oracle":
         sol = solve_reflected_dp_oracle(spec, bundle, basis)
-        tables.append(("skorokhod.csv", write_record_csv, skorokhod_report(sol, spec, bundle)))
+        tables.append(_record_table("skorokhod.csv", skorokhod_report(sol, spec, bundle)))
     else:  # penalized / norms: single solve at the schedule's first level
         sol = solve_penalized(spec, bundle, basis, config.n0)
         if config.mode == "penalized":
             row = _LevelSums.of(sol, spec, bundle).row(0, config.n0, time.perf_counter() - t)
-            tables.append(("convergence.csv", write_convergence_csv, [row]))
+            tables.append(_convergence_table([row]))
     timings.append(("solve", time.perf_counter() - t))
 
     t = time.perf_counter()
     report = estimate_norms(sol, bundle, spec.exponents)
     timings.append(("norms", time.perf_counter() - t))
     _require_finite(report.values(), "in the norm report", spec, bundle)
-    tables += [("norms.csv", write_record_csv, report), ("solution.csv", _write_solution_csv, sol)]
+    solution = [repr(v) for v in (sol.y0_mean(), sol.run.y0_stderr, float(np.mean(sol.k_T())),
+                                  float(np.mean(sol.k_jump_T)))]
+    tables += [_record_table("norms.csv", report), ("solution.csv", SOLUTION_COLUMNS, [solution])]
     return sol, tables
 
 
@@ -360,9 +376,8 @@ def run(
             error = str(exc)
             print(f"error: {exc}", file=sys.stderr)
         else:
-            for name, write, value in tables:
-                with open(out / name, "w", newline="") as fh:
-                    write(value, fh)
+            for name, header, rows in tables:
+                _write_csv(out / name, header, rows)
             warnings_ = sol.run.warnings
             A_T = float(np.max(bundle.A_path[:, -1]))
             if A_T < CLOCK_FLOOR:

@@ -143,7 +143,7 @@ def cumulative_A(grid: "TimeGrid", zeta2_steps: Array) -> Array:
         raise ValueError(
             f"expected {steps.size} per-step zeta^2 values, got shape {z.shape}"
         )
-    if np.any(z <= 0.0):
+    if not np.all(z > 0.0):  # NaN fails too
         raise AssumptionError("zeta^2 must stay strictly positive (a^2 >= eps > 0)")
     return _running_sum(z * steps)
 
@@ -168,6 +168,8 @@ class MarkSpace:
     def __post_init__(self) -> None:
         if len(self.marks) != len(self.weights):
             raise ValueError("marks and weights must have equal length")
+        if not all(math.isfinite(e) for e in self.marks):
+            raise ValueError(f"marks must be finite, got {self.marks!r}")
         if any(w <= 0.0 for w in self.weights):
             raise ValueError("all mark weights must be strictly positive")
         if not math.isfinite(self.total_intensity):

@@ -4,7 +4,6 @@ elementary p-power inequality used throughout the estimates.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -49,15 +48,6 @@ class NormReport:
 
     def values(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def write_record_csv(record, fh) -> None:
-    """A dataclass record as CSV: a header of its field names and one row
-    of their reprs."""
-    names = [f.name for f in fields(record)]
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(names)
-    w.writerow([repr(getattr(record, n)) for n in names])
 
 
 def _mc(per_path: Array) -> tuple[float, float]:

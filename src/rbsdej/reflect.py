@@ -4,10 +4,8 @@ Skorokhod flat-off diagnostics with the continuous/jump split of K.
 """
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +29,6 @@ Array = np.ndarray
 # Width of the terminal boundary layer, in units of 1/n_penalty, whose
 # K-mass is classified as the predictable terminal jump.
 TERMINAL_LAYER_FACTOR = 10.0
-
-CONVERGENCE_CSV_COLUMNS = [
-    "n", "penalty_error", "Y0_mean", "Y0_stderr", "K_T_mean", "flat_integral", "wall_time",
-]
 
 
 @dataclass(frozen=True)
@@ -340,14 +334,3 @@ def solve_reflected_dp_oracle(
     jump = np.minimum(_terminal_jump(spec, bundle), k_cum[:, -1] - k_cum[:, -2])
     k_cum[:, -1] -= jump
     return replace(sol, k_jump_T=jump)
-
-
-def write_convergence_csv(table: Sequence[PenaltyLevelRow], fh) -> None:
-    """Per-level convergence table with the documented column order."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(CONVERGENCE_CSV_COLUMNS)
-    for r in table:
-        w.writerow([
-            repr(r.n), repr(r.penalty_error), repr(r.y0_mean), repr(r.y0_stderr),
-            repr(r.k_T_mean), repr(r.flat_integral), repr(r.wall_time),
-        ])

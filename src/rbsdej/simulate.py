@@ -175,12 +175,13 @@ def sample_paths(
         for k in cp:
             cp[k][:, i] = r[k]
     a2 = aggregate_rate(cp)
-    viol = (a2 < eps) & ok[:, None]
+    viol = ~(a2 >= eps)  # a NaN rate violates the floor too
+    viol &= ok[:, None]
     if viol.any():
         p0, i0 = (int(v) for v in np.argwhere(viol)[0])
         raise AssumptionError(
             f"a^2 >= eps violated on path {p0} at node {i0}: "
-            f"a^2={float(a2[p0, i0])!r} < eps={eps!r}"
+            f"a^2={float(a2[p0, i0])!r}, eps={eps!r}"
         )
     zeta2 = a2 ** (q / 2.0)
     A = cumulative_A(grid, zeta2[:, :-1])

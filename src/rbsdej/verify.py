@@ -10,7 +10,6 @@ is reproducible.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -45,7 +44,6 @@ MAX_WITNESSES = 10
 JUMP_BOX = 10.0  # the jump inequality is swept over [-JUMP_BOX, JUMP_BOX]^2
 MAX_VIOLATION_FRACTION = 1e-3  # comparison suite: share of (path, node) allowed to violate
 REFINEMENT_FACTOR_GATE = 2.0  # a-priori suite: norm-to-data ratio drift under N -> 2N
-PROPERTIES_CSV_COLUMNS = ["name", "trials", "failures", "worst_margin"]
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,13 @@ class _Tally:
         )
 
 
+def _require_gate(name: str, value: float) -> None:
+    """A ValueError naming ``name`` unless the gate is nonnegative and
+    finite: a NaN gate passed every trial and an infinite one none."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
 def summary_text(results: Sequence[PropertyResult]) -> str:
     lines = []
     for r in results:
@@ -103,13 +108,6 @@ def summary_text(results: Sequence[PropertyResult]) -> str:
             line += f" [{r.detail}]"
         lines.append(line)
     return "\n".join(lines)
-
-
-def write_properties_csv(results: Sequence[PropertyResult], fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(PROPERTIES_CSV_COLUMNS)
-    for r in results:
-        w.writerow([r.name, r.trials, r.failures, repr(r.worst_margin)])
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +298,8 @@ def penalty_decay_suite(
     ``final_over_first_gate`` optionally enforces a decay ratio."""
     if len(schedule.n_values) < 3:
         raise ValueError("schedule needs at least 3 levels")
+    if final_over_first_gate is not None:
+        _require_gate("final_over_first_gate", final_over_first_gate)
     run = solve_reflected_penalization(
         spec, bundle, basis, replace(schedule, stop_tol=1e-300)
     )
@@ -377,6 +377,7 @@ def apriori_suite(
     every field by s^p within tolerance (exactly on the same bundle for
     linear drivers); (iii) the solution-to-data norm ratio is stable
     under grid refinement N -> 2N (within a factor gate)."""
+    _require_gate("scaling_rtol", scaling_rtol)
     e = spec.exponents
     tally = _Tally()
 
@@ -494,6 +495,7 @@ def jump_estimator_crosscheck(
     resulting values to agree within ``se_gate`` Monte Carlo standard
     errors. Meaningful only when the driver consumes the jump argument;
     otherwise the solves coincide and the check passes vacuously."""
+    _require_gate("se_gate", se_gate)
     a = solve_penalized(spec, bundle, basis, n_penalty, u_estimator="shifted")
     b = solve_penalized(spec, bundle, basis, n_penalty, u_estimator="compensated")
     gap = abs(a.y0_mean() - b.y0_mean())

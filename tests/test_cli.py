@@ -372,8 +372,12 @@ class TestMainEntry:
         out = tmp_path / "verify_out"
         code = cli.main(["verify", "--config", str(config_file), "--out", str(out)])
         assert code == cli.EXIT_OK
-        assert (out / "properties.csv").exists()
-        assert "FAIL" not in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "FAIL" not in summary
+        lines = (out / "properties.csv").read_text().splitlines()
+        assert lines[0] == "name,trials,failures,worst_margin"
+        assert len(lines) == 1 + len(summary.splitlines())
+        assert lines[1].startswith("jump_inequality,300000,0,")
 
     def test_env_default_outdir(self, config_file, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))

@@ -95,6 +95,17 @@ class TestAggregateCoefficients:
                            match=rf"^a\^2 >= eps violated on path {p0} at node {i0}: a\^2=0\.1"):
             rb.sample_paths(self._spec(phi, 0.0, 0.0), grid, 16, seed=0)
 
+    def test_nan_rate_violates_the_floor(self):
+        # a NaN phi fails no `a^2 < eps` test: it gave NaN A_path entries
+        # with no error, a finite Y0 and NaN norms
+        grid = rb.build_grid(1.0, 4)
+        X = rb.sample_paths(self._spec(1.0, 0.0, 0.0), grid, 16, seed=0).forward_states
+        p0, i0 = np.argwhere(X > 0.5)[0]
+        phi = lambda t, x: np.where(np.asarray(x) > 0.5, np.nan, 1.0)
+        with pytest.raises(rb.AssumptionError,
+                           match=rf"^a\^2 >= eps violated on path {p0} at node {i0}: a\^2=nan"):
+            rb.sample_paths(self._spec(phi, 0.0, 0.0), grid, 16, seed=0)
+
     def test_zeta_floor_algebra(self):
         # zeta >= eps^{q/4} whenever a^2 >= eps
         rng = np.random.default_rng(0)
@@ -127,6 +138,12 @@ class TestCumulativeA:
         with pytest.raises(rb.AssumptionError):
             rb.cumulative_A(grid, np.zeros(4))
 
+    def test_nan_integrand_rejected(self):
+        # used to return a NaN clock from the second node on
+        grid = rb.build_grid(1.0, 4)
+        with pytest.raises(rb.AssumptionError, match="^zeta\\^2 must stay strictly positive"):
+            rb.cumulative_A(grid, [1.0, np.nan, 1.0, 1.0])
+
     @pytest.mark.parametrize("shape, order", [((7, 13), "C"), ((7, 13), "F"), ((13,), "C")])
     def test_running_sum_is_cumsum_bit_for_bit(self, shape, order):
         # mixed signs and magnitudes, so a change of summation order shows
@@ -157,6 +174,13 @@ class TestMarkSpace:
     def test_positive_weights(self):
         with pytest.raises(ValueError):
             rb.MarkSpace(marks=(1.0,), weights=(0.0,))
+
+    # a NaN mark was accepted and failed later as "bundle contains N
+    # non-finite paths"
+    @pytest.mark.parametrize("mark", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mark_named(self, mark):
+        with pytest.raises(ValueError, match="^marks must be finite"):
+            rb.MarkSpace(marks=(0.5, mark), weights=(1.0, 1.0))
 
     def test_norm_lambda(self):
         ms = rb.MarkSpace(marks=(1.0, 2.0), weights=(2.0, 0.5))

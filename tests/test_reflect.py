@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rbsdej as rb
+import rbsdej.cli as cli
 from rbsdej.model import EQUALITY_RTOL
 
 
@@ -425,9 +426,9 @@ class TestConvergenceCSV:
             flat_spec, flat_bundle_coarse, basis0,
             rb.PenalizationSchedule.geometric(1.0, 4, 1e-9),
         )
-        f = tmp_path / "conv.csv"
-        with open(f, "w", newline="") as fh:
-            rb.reflect.write_convergence_csv(run.table, fh)
+        name, header, cells = cli._convergence_table(run.table)
+        f = tmp_path / name
+        cli._write_csv(f, header, cells)
         rows = list(csvmod.reader(f.read_text().splitlines()))
         assert rows[0] == ["n", "penalty_error", "Y0_mean", "Y0_stderr",
                            "K_T_mean", "flat_integral", "wall_time"]

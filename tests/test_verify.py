@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbsdej as rb
-from rbsdej.verify import MAX_WITNESSES, PropertyResult, summary_text, write_properties_csv
+import rbsdej.cli as cli
+from rbsdej.verify import MAX_WITNESSES, PropertyResult, summary_text
 
 ASSUMPTION_CHECKS = ["monotonicity_y", "lipschitz_zu", "growth", "rate_floor",
                      "y_continuity_probe", "obstacle_below_terminal"]
@@ -326,6 +327,23 @@ class TestFailingBranches:
         if case == "contraction_nan":
             assert "at Picard iteration 1; largest beta*A_T" in res.witnesses[0][1]
 
+    # a NaN gate counted as a pass (apriori: passed with worst_margin=nan),
+    # and an infinite gate made its check vacuous
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("gate", ["scaling_rtol", "se_gate", "final_over_first_gate"])
+    def test_bad_gate_named(self, gate, value, flat_spec, flat_bundle_coarse, basis0):
+        run = {
+            "scaling_rtol": lambda: rb.apriori_suite(flat_spec, flat_bundle_coarse, basis0,
+                                                     scaling_rtol=value),
+            "se_gate": lambda: rb.jump_estimator_crosscheck(flat_spec, flat_bundle_coarse, basis0,
+                                                            se_gate=value),
+            "final_over_first_gate": lambda: rb.penalty_decay_suite(
+                flat_spec, flat_bundle_coarse, basis0,
+                rb.PenalizationSchedule.geometric(1.0, 4, 1e-3), final_over_first_gate=value),
+        }[gate]
+        with pytest.raises(ValueError, match=rf"^{gate} must be nonnegative and finite"):
+            run()
+
     # each of these ran no trial: the empty ones passed with trials=0, and
     # n_samples=0 raised numpy's unnamed zero-size ValueError; n_steps=2.5
     # was named as build_grid's N
@@ -377,8 +395,9 @@ class TestPropertyResultPlumbing:
         text = summary_text(results)
         assert "PASS a" in text and "FAIL b" in text
         f = tmp_path / "props.csv"
-        with open(f, "w", newline="") as fh:
-            write_properties_csv(results, fh)
+        cli._write_csv(f, cli.PROPERTIES_COLUMNS,
+                       [[r.name, str(r.trials), str(r.failures), repr(r.worst_margin)]
+                        for r in results])
         lines = f.read_text().splitlines()
         assert lines[0] == "name,trials,failures,worst_margin"
         assert lines[1].startswith("a,10,0,")
