@@ -32,7 +32,7 @@ print("ratio-vs-beta table from the contraction suite (f = 0.2 z):")
 spec = rb.build_problem("linear_z")
 bundle = rb.sample_paths(spec, rb.build_grid(1.0, 15), n_paths=4_000, seed=6)
 res = rb.contraction_suite(spec, bundle, rb.RegressionBasis(degree=2),
-                           beta_values=(1.0, 2.0, spec.exponents.beta), n_penalty=8.0)
+                           beta_values=(1.0, 2.0, spec.exponents.beta))
 print(" ", res.detail.replace("; ", "\n  "))
 print("  suite:", "PASS" if res.passed else "FAIL")
 

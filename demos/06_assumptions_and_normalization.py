@@ -39,7 +39,7 @@ grow = replace(
 tspec, norm = rb.normalize_driver(grow, eps_knob=0.5)
 f = tspec.driver(0.3, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), np.zeros((2, 0)))
 print(f"  transformed driver slope in y: {float(f[1] - f[0]):+.3f}  (target -eps_knob * a^2 = -0.5)")
-print(f"  accumulation factor e^R at T:  {float(norm.factors(1.0)):.4f}")
+print(f"  accumulation factor e^R at T:  {float(np.exp(norm.log_factor(1.0))):.4f}")
 
 print()
 print("round trip on the solvable f = -y problem (exact value e^{-T}):")

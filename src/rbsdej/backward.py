@@ -370,7 +370,10 @@ def _backward(
     sweep: each slice fits all their targets in one solve, ``step`` sees
     (n, columns) blocks with L_i as (n, 1), and the driver their
     column-major flattening, with x tiled to match. Grids are kept for
-    the last column only. ``observe(i, y_i, L_i, dK_i, y0_stderr)`` sees
+    the last column only. ``frozen_zu`` feeds the driver a previous
+    iterate's (z, u) instead of the pass's own; the run record is a
+    one-pass solve's (one iterate, residual 0), which ``picard_solve``
+    overwrites. ``observe(i, y_i, L_i, dK_i, y0_stderr)`` sees
     each node's (n, columns) blocks, from i = N (dK_i None) down to 0, and
     at i = 0 the step-0 target standard error of every column.
     ``obstacle`` is the sampled L grid, sampled here when not given.
@@ -454,14 +457,9 @@ def _backward(
 
     return BackwardSolution(
         y=y, z=z, u=u, k_jump_T=np.zeros(n_paths), k_cum=_running_sum(k_inc), obstacle=L_nodes,
-        run=RunRecord(y0_stderr=y0_stderr[-1]), mark_weights=lam,
+        run=RunRecord(picard_iters=1, residual_history=(0.0,), y0_stderr=y0_stderr[-1]),
+        mark_weights=lam,
     )
-
-
-def _single_pass(sol: BackwardSolution) -> BackwardSolution:
-    """Record a one-pass solve, whose driver sees its own (z, u), as its
-    own fixed point: one iterate, residual 0."""
-    return replace(sol, run=replace(sol.run, picard_iters=1, residual_history=(0.0,)))
 
 
 def _penalty_step(n_penalty: float | Array) -> StepRule:
@@ -483,23 +481,22 @@ def solve_penalized(
     bundle: PathBundle,
     basis: RegressionBasis,
     n_penalty: float,
-    frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
 ) -> BackwardSolution:
     """One backward pass of the penalized scheme at level ``n_penalty``.
 
     The shared sweep (``_backward``) with the penalty step: solve the
     implicit scalar equation y = c + f(t_i, X_i, y, z, u) dt + n dt (y - L_i)^-
-    per path. The driver sees the pass's own (z_i, u_i) unless
-    ``frozen_zu`` supplies the fields of a previous iterate. The terminal
-    row is exact: y_N = terminal(X_N).
+    per path. The driver sees the pass's own (z_i, u_i), so the pass is
+    its own fixed point: the run record holds one iterate, residual 0. The
+    terminal row is exact: y_N = terminal(X_N).
 
     ``u_estimator`` selects how the jump responses are estimated:
     "shifted" (default) evaluates the fitted continuation at jump-shifted
     states; "compensated" regresses y_{i+1} times the compensated count
     increment, a higher-variance route kept for cross-scheme checks.
     """
-    return _backward(spec, bundle, basis, _penalty_step(n_penalty), frozen_zu, u_estimator)
+    return _backward(spec, bundle, basis, _penalty_step(n_penalty), u_estimator=u_estimator)
 
 
 def picard_solve(
@@ -534,7 +531,7 @@ def picard_solve(
     from .model import driver_uses_zu
 
     if not driver_uses_zu(spec):
-        return _single_pass(solve_penalized(spec, bundle, basis, n_penalty))
+        return solve_penalized(spec, bundle, basis, n_penalty)
 
     N = bundle.grid.n_steps
     m = spec.marks.m

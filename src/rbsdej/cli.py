@@ -249,7 +249,7 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
             final_over_first_gate=0.05,
         )
     )
-    results.append(apriori_suite(flat, flat_bundle, basis0, n_penalty=64.0))
+    results.append(apriori_suite(flat, flat_bundle, basis0))
 
     put = build_problem("american_put", T=1.0, p=config.p)
     put_bundle = sample_paths(put, build_grid(1.0, 25), 2_000, seed)
@@ -264,7 +264,7 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
     for suffix in ("z", "gamma"):
         spec = build_problem(f"linear_{suffix}", T=1.0, p=config.p)
         bundle = sample_paths(spec, build_grid(1.0, 20), 2_000, seed)
-        result = contraction_suite(spec, bundle, basis, n_penalty=8.0)
+        result = contraction_suite(spec, bundle, basis)
         results.append(replace(result, name=f"picard_contraction_{suffix}"))
     # the loop leaves linear_gamma's problem and bundle for the jump crosscheck
     results.append(jump_estimator_crosscheck(spec, bundle, basis, n_penalty=8.0, se_gate=3.0))

@@ -79,9 +79,6 @@ class Exponents:
             beta = default_beta(p)
         return cls(p=p, beta=beta, eps=eps)
 
-    def with_beta(self, beta: float) -> "Exponents":
-        return replace(self, beta=beta)
-
 
 # Coefficient functions map (t, state) -> scalar or array broadcastable
 # against the state, so "stochastic" rates enter through the forward state.
@@ -170,8 +167,8 @@ class MarkSpace:
             raise ValueError("marks and weights must have equal length")
         if not all(math.isfinite(e) for e in self.marks):
             raise ValueError(f"marks must be finite, got {self.marks!r}")
-        if any(w <= 0.0 for w in self.weights):
-            raise ValueError("all mark weights must be strictly positive")
+        if not all(w > 0.0 for w in self.weights):  # a NaN weight fails here, by name
+            raise ValueError(f"all mark weights must be strictly positive, got {self.weights!r}")
         if not math.isfinite(self.total_intensity):
             raise ValueError("total jump intensity must be finite")
 
@@ -316,9 +313,6 @@ class DriverNormalization:
 
     def log_factor(self, t: Array | float) -> Array:
         return np.interp(np.asarray(t, dtype=float), self._dense_nodes, self._dense_R)
-
-    def factors(self, t: Array | float) -> Array:
-        return np.exp(self.log_factor(t))
 
     def map_back_solution(self, sol, grid):
         """Undo the transform on a BackwardSolution computed on ``grid``."""

@@ -118,8 +118,7 @@ def estimate_norms(
     nodes, and the realized-jump energy sums |u|^2 over simulated jump
     counts. The mark weights are the ones the solution carries.
     """
-    k_total = sol.k_cum[:, -1] + sol.k_jump_T
-    parts = _norm_parts(sol.y, sol.z, sol.u, k_total, bundle, exponents, sol.mark_weights)
+    parts = _norm_parts(sol.y, sol.z, sol.u, sol.k_T(), bundle, exponents, sol.mark_weights)
     (s_m, s_se), (sa_m, sa_se), (h_m, h_se), (ll_m, ll_se), (lm_m, lm_se), (k_m, k_se) = (
         _mc(x) for x in parts
     )
@@ -142,9 +141,8 @@ def lenglart_check(
     rhs is the compensator version, and the gate is
     lhs <= 2 rhs + 3 joint standard errors.
     """
-    k_total = sol.k_cum[:, -1] + sol.k_jump_T
     _, _, _, l_lam, l_mu, _ = _norm_parts(
-        sol.y, sol.z, sol.u, k_total, bundle, exponents, sol.mark_weights
+        sol.y, sol.z, sol.u, sol.k_T(), bundle, exponents, sol.mark_weights
     )
     lhs, lhs_se = _mc(l_mu)
     rhs, rhs_se = _mc(l_lam)

@@ -16,7 +16,6 @@ from .backward import (
     _backward,
     _penalty_step,
     _require_finite,
-    _single_pass,
     _solve_implicit_step,
     obstacle_on_grid,
 )
@@ -184,14 +183,16 @@ def extract_terminal_jump(
     The penalty smears a terminal jump over a layer of width O(1/n); the
     K-mass accumulated on (T - 10/n, T] (at least one grid slice) moves
     from k_cum into k_jump_T on paths where the obstacle's left limit
-    exceeds the terminal payoff. Elsewhere k_cum is untouched.
+    exceeds the terminal payoff. Elsewhere k_cum is untouched. Raises
+    ValueError unless ``n_penalty`` is positive and finite.
     """
+    if not 0.0 < n_penalty < np.inf:
+        raise ValueError(f"n_penalty must be positive and finite, got {n_penalty!r}")
     nodes = bundle.grid.nodes
     T = bundle.grid.horizon
     width = min(TERMINAL_LAYER_FACTOR / n_penalty, 0.25 * T)
     cut = min(T - width, float(nodes[-2]))  # window spans >= 1 slice
     w_start = int(np.searchsorted(nodes, cut, side="right")) - 1
-    w_start = min(max(w_start, 0), nodes.size - 2)
 
     ind = _terminal_jump(spec, bundle) > 0.0
     layer_mass = sol.k_cum[:, -1] - sol.k_cum[:, w_start]
@@ -268,9 +269,9 @@ def _swept_levels(
                     del sol, sums
                     sol, sums, share = sweep(chunk[k:k + 1])
                     rows[-1] = sums.row(0, n, share)
-                return rows, _single_pass(sol), True
+                return rows, sol, True
         if len(rows) == len(levels):
-            return rows, _single_pass(sol), False
+            return rows, sol, False
         del sol, sums  # free this chunk's grids before the next sweep allocates its own
 
 

@@ -44,6 +44,12 @@ MAX_WITNESSES = 10
 JUMP_BOX = 10.0  # the jump inequality is swept over [-JUMP_BOX, JUMP_BOX]^2
 MAX_VIOLATION_FRACTION = 1e-3  # comparison suite: share of (path, node) allowed to violate
 REFINEMENT_FACTOR_GATE = 2.0  # a-priori suite: norm-to-data ratio drift under N -> 2N
+APRIORI_N_PENALTY = 64.0  # a-priori suite: the penalty level of its solves
+APRIORI_SCALES = (2.0, 4.0)  # a-priori suite: the data scales s checked against s^p
+CONTRACTION_N_PENALTY = 8.0  # contraction suite: the penalty level of its Picard runs
+CONTRACTION_TOL = 1e-10  # contraction suite: Picard tolerance; ratios count above 10x it
+CONTRACTION_MAX_ITER = 12  # contraction suite: Picard iterations per weight exponent
+LENGLART_N_STEPS = 16  # Lenglart sweep: grid steps of each configuration's bundle
 
 
 @dataclass(frozen=True)
@@ -368,12 +374,11 @@ def apriori_suite(
     spec: ProblemSpec,
     bundle: PathBundle,
     basis: RegressionBasis,
-    n_penalty: float = 64.0,
-    scales: Sequence[float] = (1.0, 2.0, 4.0),
     scaling_rtol: float = 0.05,
 ) -> PropertyResult:
-    """Three checkable consequences of the a-priori stability bound:
-    (i) every norm estimate is finite; (ii) scaling the data by s scales
+    """Three checkable consequences of the a-priori stability bound, from
+    penalized solves at level APRIORI_N_PENALTY: (i) every norm estimate
+    is finite; (ii) scaling the data by each s in APRIORI_SCALES scales
     every field by s^p within tolerance (exactly on the same bundle for
     linear drivers); (iii) the solution-to-data norm ratio is stable
     under grid refinement N -> 2N (within a factor gate)."""
@@ -381,17 +386,15 @@ def apriori_suite(
     e = spec.exponents
     tally = _Tally()
 
-    base_sol = solve_penalized(spec, bundle, basis, n_penalty)
+    base_sol = solve_penalized(spec, bundle, basis, APRIORI_N_PENALTY)
     base_rep = _report_fields(estimate_norms(base_sol, bundle, e))
     finite = bool(np.all(np.isfinite(base_rep)))
     tally.add(base_rep.size, int(not finite),
               witnesses=[] if finite else [("nonfinite", tuple(base_rep))])
 
-    for s in scales:
-        if s == 1.0:
-            continue
+    for s in APRIORI_SCALES:
         sc = scale_problem_data(spec, s)
-        sol_s = solve_penalized(sc, bundle, basis, n_penalty)
+        sol_s = solve_penalized(sc, bundle, basis, APRIORI_N_PENALTY)
         rep_s = _report_fields(estimate_norms(sol_s, bundle, e))
         expected = base_rep * s**e.p
         denom = np.maximum(np.abs(expected), 1e-30)
@@ -406,7 +409,7 @@ def apriori_suite(
     N = bundle.grid.n_steps
     fine_grid = build_grid(bundle.grid.horizon, 2 * N)
     fine_bundle = sample_paths(spec, fine_grid, bundle.n_paths, bundle.seed)
-    fine_sol = solve_penalized(spec, fine_bundle, basis, n_penalty)
+    fine_sol = solve_penalized(spec, fine_bundle, basis, APRIORI_N_PENALTY)
     fine_rep = _report_fields(estimate_norms(fine_sol, fine_bundle, e))
     lhs_coarse = float(np.sum(base_rep))
     lhs_fine = float(np.sum(fine_rep))
@@ -433,16 +436,14 @@ def contraction_suite(
     bundle: PathBundle,
     basis: RegressionBasis,
     beta_values: Sequence[float] | None = None,
-    n_penalty: float = 64.0,
-    tol: float = 1e-10,
-    max_iter: int = 12,
 ) -> PropertyResult:
     """Residual ratios of the fixed-point iteration across weight
-    exponents. Requires every beta to clear the stability threshold
-    2(p-1)/p; passes when ratios r_k = d_{k+1}/d_k stay below 1 for
-    k >= 1 at the largest beta. A run whose residual is not finite fails
-    the property, with its SolverError message as the witness. Records a
-    ratio-vs-beta table in ``detail``."""
+    exponents, from ``picard_solve`` at CONTRACTION_N_PENALTY,
+    CONTRACTION_TOL and CONTRACTION_MAX_ITER. Requires every beta to clear
+    the stability threshold 2(p-1)/p; passes when ratios r_k = d_{k+1}/d_k
+    stay below 1 for k >= 1 at the largest beta. A run whose residual is
+    not finite fails the property, with its SolverError message as the
+    witness. Records a ratio-vs-beta table in ``detail``."""
     e = spec.exponents
     threshold = 2.0 * (e.p - 1.0) / e.p
     if beta_values is None:
@@ -455,16 +456,17 @@ def contraction_suite(
     table = []
     tally = _Tally()
     for b in sorted(beta_values):
-        spec_b = replace(spec, exponents=e.with_beta(b))
+        spec_b = replace(spec, exponents=replace(e, beta=b))
         try:
-            sol = picard_solve(spec_b, bundle, basis, n_penalty, tol=tol, max_iter=max_iter)
+            sol = picard_solve(spec_b, bundle, basis, CONTRACTION_N_PENALTY,
+                               tol=CONTRACTION_TOL, max_iter=CONTRACTION_MAX_ITER)
         except SolverError as exc:  # a residual that is not finite
             table.append((b, "failed"))
             tally.add(1, 1, math.nan, [(b, str(exc))])
             continue
         res = np.asarray(sol.run.residual_history)
         ratios = res[1:] / np.maximum(res[:-1], 1e-300)
-        meaningful = res[:-1] > 10.0 * tol
+        meaningful = res[:-1] > 10.0 * CONTRACTION_TOL
         ratios = ratios[meaningful]
         table.append((b, tuple(round(float(r), 4) for r in ratios)))
         if b == max(beta_values):  # no meaningful ratio: converged at once, a vacuous pass
@@ -524,14 +526,13 @@ def make_synthetic_solution(bundle: PathBundle, u: Array, mark_weights: Array) -
 def lenglart_sweep(
     n_configs: int = 100,
     n_paths: int = 10_000,
-    n_steps: int = 16,
     seed: int = 0,
 ) -> PropertyResult:
     """Randomized configurations (U-field, intensities, beta) checked
-    against the factor-2 domination of realized jump energy."""
+    against the factor-2 domination of realized jump energy, each on a
+    bundle of LENGLART_N_STEPS grid steps."""
     from .registry import pure_jump_counter
 
-    _require_count("n_steps", n_steps, 1)
     _require_count("seed", seed, 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x13]))
     tally = _Tally()
@@ -547,7 +548,8 @@ def lenglart_sweep(
             marks=MarkSpace(marks=marks, weights=weights),
             exponents=Exponents.from_p(p, beta=beta, eps=0.01),
         )
-        bundle = sample_paths(spec, build_grid(1.0, n_steps), n_paths, seed=int(rng.integers(2**32)))
+        bundle = sample_paths(spec, build_grid(1.0, LENGLART_N_STEPS), n_paths,
+                              seed=int(rng.integers(2**32)))
         t_nodes = bundle.grid.nodes
         base = rng.uniform(-2.0, 2.0, m)
         wobble = rng.uniform(0.5, 3.0, m)

@@ -175,6 +175,11 @@ class TestMarkSpace:
         with pytest.raises(ValueError):
             rb.MarkSpace(marks=(1.0,), weights=(0.0,))
 
+    # it failed as "total jump intensity must be finite"
+    def test_nan_weight_named(self):
+        with pytest.raises(ValueError, match="^all mark weights must be strictly positive"):
+            rb.MarkSpace(marks=(1.0, 1.0), weights=(1.0, float("nan")))
+
     # a NaN mark was accepted and failed later as "bundle contains N
     # non-finite paths"
     @pytest.mark.parametrize("mark", [float("nan"), float("inf"), -float("inf")])
@@ -260,7 +265,7 @@ class TestNormalizeDriver:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tspec, norm = rb.normalize_driver(flat_spec)
-        assert float(norm.factors(0.7)) == 1.0
+        assert float(np.exp(norm.log_factor(0.7))) == 1.0
         grid = rb.build_grid(1.0, 50)
         a = rb.sample_paths(flat_spec, grid, 4, seed=1)
         b = rb.sample_paths(tspec, grid, 4, seed=1)

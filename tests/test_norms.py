@@ -75,8 +75,8 @@ class TestEstimateNorms:
 
     def test_weight_monotonic_in_beta(self, put_spec, put_bundle_small, basis3):
         sol = rb.solve_penalized(put_spec, put_bundle_small, basis3, 16.0)
-        lo = rb.estimate_norms(sol, put_bundle_small, put_spec.exponents.with_beta(0.5))
-        hi = rb.estimate_norms(sol, put_bundle_small, put_spec.exponents.with_beta(1.5))
+        lo = rb.estimate_norms(sol, put_bundle_small, replace(put_spec.exponents, beta=0.5))
+        hi = rb.estimate_norms(sol, put_bundle_small, replace(put_spec.exponents, beta=1.5))
         for name in ("s_p_beta", "s_pA_beta", "h_p_beta", "l_p_lambda_beta", "l_p_mu_beta", "k_p"):
             assert getattr(hi, name) >= getattr(lo, name) - 1e-15
 
@@ -224,7 +224,7 @@ class TestExactReferences:
     def test_norm_parts_and_reports(self, iterates, beta):
         spec, bundle, _, sol = iterates
         if beta is not None:
-            spec = replace(spec, exponents=spec.exponents.with_beta(beta))
+            spec = replace(spec, exponents=replace(spec.exponents, beta=beta))
         e, lam = spec.exponents, sol.mark_weights
         k_total = sol.k_cum[:, -1] + sol.k_jump_T
         with np.errstate(all="ignore"):
@@ -249,7 +249,7 @@ class TestExactReferences:
         spec, bundle, a, b = iterates
         e, lam = spec.exponents, spec.marks.weights_array()
         if beta is not None:
-            e = e.with_beta(beta)
+            e = replace(e, beta=beta)
         with np.errstate(all="ignore"):
             got = rb.norms._contraction_distance((b.y, b.z, b.u), (a.y, a.z, a.u), bundle, e, lam)
             wrapped = rb.weighted_distance(b.y - a.y, b.z - a.z, b.u - a.u, bundle, e, lam)
@@ -269,7 +269,7 @@ class TestExactReferences:
                      [(4, 201), (4, 201), (4, 201, m)]] for _ in range(2))
         lam = spec.marks.weights_array()
         for beta in (spec.exponents.beta, 50.0 * spec.exponents.beta):
-            e = spec.exponents.with_beta(beta)
+            e = replace(spec.exponents, beta=beta)
             for k in range(3):
                 moved = [a if j == k else b for j, (a, b) in enumerate(zip(new, old))]
                 diff = [a - b for a, b in zip(moved, old)]

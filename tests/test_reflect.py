@@ -112,6 +112,13 @@ class TestReflectedPenalization:
         assert run.solution.run.picard_iters == 1
         assert run.solution.run.residual_history == (0.0,)
 
+    def test_one_pass_solves_record_one_iterate(self, flat_spec, flat_bundle_coarse, basis0):
+        # the oracle and a penalized solve recorded (0, ()) for the pass
+        # that picard_solve and the swept schedule record as (1, (0.0,))
+        for sol in (rb.solve_reflected_dp_oracle(flat_spec, flat_bundle_coarse, basis0),
+                    rb.solve_penalized(flat_spec, flat_bundle_coarse, basis0, 4.0)):
+            assert (sol.run.picard_iters, sol.run.residual_history) == (1, (0.0,))
+
     @staticmethod
     def counted_calls(monkeypatch):
         """Counts of backward sweeps, obstacle samples and slice
@@ -378,6 +385,16 @@ class TestSkorokhodReport:
         )
         scale = abs(run.solution.y0_mean())
         assert run.skorokhod.flat_integral <= 5e-3 * scale
+
+
+class TestExtractTerminalJump:
+    # 0 raised an unnamed ZeroDivisionError, and NaN, -1 and inf each
+    # silently took one slice as the layer
+    @pytest.mark.parametrize("n", [0.0, float("nan"), -1.0, float("inf")])
+    def test_bad_level_named(self, flat_spec, flat_bundle_coarse, basis0, n):
+        sol = rb.solve_penalized(flat_spec, flat_bundle_coarse, basis0, 4.0)
+        with pytest.raises(ValueError, match="^n_penalty must be positive and finite"):
+            rb.reflect.extract_terminal_jump(sol, flat_spec, flat_bundle_coarse, n)
 
 
 class TestPenalizedJumpResidual:

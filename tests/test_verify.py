@@ -188,7 +188,7 @@ class TestPenaltyDecaySuite:
 
 class TestAprioriSuite:
     def test_flat_obstacle_exact_scaling(self, flat_spec, flat_bundle_coarse, basis0):
-        res = rb.apriori_suite(flat_spec, flat_bundle_coarse, basis0, n_penalty=64.0)
+        res = rb.apriori_suite(flat_spec, flat_bundle_coarse, basis0)
         assert res.passed, res.witnesses
 
     def test_zero_data_zero_solution(self, basis0):
@@ -201,7 +201,7 @@ class TestAprioriSuite:
         assert rep.s_p_beta == 0.0 and rep.k_p == 0.0 and rep.h_p_beta == 0.0
 
     def test_put_scaling_mc(self, put_spec, put_bundle_small, basis3):
-        res = rb.apriori_suite(put_spec, put_bundle_small, basis3, n_penalty=64.0)
+        res = rb.apriori_suite(put_spec, put_bundle_small, basis3)
         assert res.passed, res.witnesses
 
 
@@ -269,18 +269,18 @@ class TestContractionSuite:
         spec = rb.build_problem("linear_z")
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 15), 2000, seed=6)
         res = rb.contraction_suite(spec, bundle, rb.RegressionBasis(degree=2),
-                                   beta_values=(1.0, spec.exponents.beta), n_penalty=8.0)
+                                   beta_values=(1.0, spec.exponents.beta))
         assert res.passed, res.detail
         assert "ratios" in res.detail
 
     def test_gamma_driver(self):
         spec = rb.build_problem("linear_gamma")
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 15), 2000, seed=6)
-        res = rb.contraction_suite(spec, bundle, rb.RegressionBasis(degree=2), n_penalty=8.0)
+        res = rb.contraction_suite(spec, bundle, rb.RegressionBasis(degree=2))
         assert res.passed, res.detail
 
     def test_zu_free_vacuous_pass(self, flat_spec, flat_bundle_coarse, basis0):
-        res = rb.contraction_suite(flat_spec, flat_bundle_coarse, basis0, n_penalty=8.0)
+        res = rb.contraction_suite(flat_spec, flat_bundle_coarse, basis0)
         assert res.passed
         assert res.trials == 1 and res.failures == 0
 
@@ -320,7 +320,7 @@ class TestFailingBranches:
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=1)
             with np.errstate(over="ignore", invalid="ignore"):
                 res = rb.contraction_suite(spec, bundle, rb.RegressionBasis(degree=2),
-                                           beta_values=(1e5,), n_penalty=8.0)
+                                           beta_values=(1e5,))
         assert not res.passed
         assert res.failures >= 1
         assert 1 <= len(res.witnesses) <= MAX_WITNESSES
@@ -345,10 +345,9 @@ class TestFailingBranches:
             run()
 
     # each of these ran no trial: the empty ones passed with trials=0, and
-    # n_samples=0 raised numpy's unnamed zero-size ValueError; n_steps=2.5
-    # was named as build_grid's N
+    # n_samples=0 raised numpy's unnamed zero-size ValueError
     @pytest.mark.parametrize("field", ["p_values", "n_samples", "n_pairs", "n_configs",
-                                       "beta_values", "n_steps"])
+                                       "beta_values"])
     def test_zero_trials_named(self, field, flat_spec, flat_bundle_coarse, basis0):
         run = {
             "p_values": lambda: rb.jump_inequality_suite(n_samples=10, p_values=()),
@@ -357,7 +356,6 @@ class TestFailingBranches:
             "n_configs": lambda: rb.lenglart_sweep(n_configs=0),
             "beta_values": lambda: rb.contraction_suite(flat_spec, flat_bundle_coarse, basis0,
                                                         beta_values=()),
-            "n_steps": lambda: rb.lenglart_sweep(n_steps=2.5),
         }[field]
         with pytest.raises(ValueError, match=rf"^{field} must "):
             run()
