@@ -317,11 +317,6 @@ def _solve_implicit_step(
 
 
 def _check_bundle(spec: ProblemSpec, bundle: PathBundle) -> None:
-    if bundle.flagged_paths.size:
-        raise SolverError(
-            f"bundle contains {bundle.flagged_paths.size} non-finite paths "
-            f"(first: {int(bundle.flagged_paths[0])}); regenerate or repair"
-        )
     if abs(bundle.grid.horizon - spec.horizon) > 1e-12 * (1.0 + spec.horizon):
         raise SolverError("bundle grid does not match the problem horizon")
     if bundle.n_marks != spec.marks.m:
@@ -545,8 +540,8 @@ def picard_solve(
     for k in range(1, max_iter + 1):
         sol = _backward(spec, bundle, basis, step, frozen_zu=(prev_z, prev_u),
                         obstacle=obstacle, fits=fits)
-        d = _norms._contraction_distance((sol.y, sol.z, sol.u), (prev_y, prev_z, prev_u),
-                                         bundle, spec.exponents, lam)
+        d = _norms.weighted_distance((sol.y, sol.z, sol.u), (prev_y, prev_z, prev_u),
+                                     bundle, spec.exponents, lam)
         _require_finite({"residual": d}, f"at Picard iteration {k}", spec, bundle)
         residuals.append(d)
         prev_y, prev_z, prev_u = sol.y, sol.z, sol.u

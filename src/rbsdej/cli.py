@@ -27,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import RegressionBasis, SolverError, _require_finite, solve_penalized
+from .backward import (
+    RegressionBasis, RegressionRankError, SolverError, _require_finite, solve_penalized,
+)
 from .model import AssumptionError
 from .norms import estimate_norms
 from .reflect import (
@@ -137,7 +139,7 @@ class ExperimentConfig:
                 raise ConfigError(f"problem.{key}", f"must be finite, got {value!r}")
         try:
             self.schedule()
-        except (OverflowError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError("schedule.levels",
                               f"the penalty levels must stay finite, got {self.levels!r}") from exc
 
@@ -279,9 +281,14 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
     return all(r.passed for r in results)
 
 
+# The config field of the parameter that a simulation's AssumptionError names.
+_ASSUMPTION_FIELDS = {"eps": "exponents.eps", "p": "exponents.p", "forward": "problem"}
+
+
 def _simulate(config: ExperimentConfig, timings: list) -> tuple:
     """Build the problem and simulate its bundle. Raises ConfigError when
-    the factory does not take or rejects a parameter, or a^2 < eps."""
+    the factory does not take or rejects a parameter, a^2 < eps, zeta^2
+    underflows or a forward state is not finite."""
     try:
         spec = config.build()
     except KeyError as exc:
@@ -295,7 +302,7 @@ def _simulate(config: ExperimentConfig, timings: list) -> tuple:
         bundle = sample_paths(spec, build_grid(config.horizon, config.n_steps), config.n_paths,
                               config.seed, n_threads=config.threads)
     except AssumptionError as exc:
-        raise ConfigError("exponents.eps", str(exc)) from exc
+        raise ConfigError(_ASSUMPTION_FIELDS[exc.param], str(exc)) from exc
     timings.append(("simulate", time.perf_counter() - t))
     return spec, bundle
 
@@ -303,8 +310,8 @@ def _simulate(config: ExperimentConfig, timings: list) -> tuple:
 def _solve(config: ExperimentConfig, spec, bundle, timings: list) -> tuple:
     """Run the configured solver mode, its diagnostics and its norm report.
     Returns the solution and the (file name, header, rows of cell strings)
-    tables to write; raises SolverError, before anything is written, on a
-    non-finite result."""
+    tables to write; raises, before anything is written, SolverError on a
+    non-finite result and RegressionRankError on a rank-short slice."""
     basis = RegressionBasis(degree=config.degree)
     t = time.perf_counter()
     tables = []
@@ -372,7 +379,7 @@ def run(
     else:
         try:
             sol, tables = _solve(config, spec, bundle, timings)
-        except SolverError as exc:
+        except (SolverError, RegressionRankError) as exc:
             error = str(exc)
             print(f"error: {exc}", file=sys.stderr)
         else:

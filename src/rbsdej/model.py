@@ -24,7 +24,12 @@ QUAD_STEPS = 4096
 
 
 class AssumptionError(ValueError):
-    """A structural assumption on the problem data is violated."""
+    """A structural assumption on the problem data is violated; ``param``
+    names the parameter it concerns."""
+
+    def __init__(self, message: str, param: str) -> None:
+        self.param = param
+        super().__init__(message)
 
 
 def _require_count(name: str, value: object, least: int) -> int:
@@ -141,7 +146,8 @@ def cumulative_A(grid: "TimeGrid", zeta2_steps: Array) -> Array:
             f"expected {steps.size} per-step zeta^2 values, got shape {z.shape}"
         )
     if not np.all(z > 0.0):  # NaN fails too
-        raise AssumptionError("zeta^2 must stay strictly positive (a^2 >= eps > 0)")
+        raise AssumptionError("zeta^2 must stay strictly positive (a^2 >= eps > 0)",
+                              "zeta2_steps")
     return _running_sum(z * steps)
 
 

@@ -66,27 +66,6 @@ def _node_weights(bundle, exponents):
         yield i, np.exp(half * A_i), np.exp(exponents.beta * A_i)
 
 
-def _contraction_distance(new, old, bundle, exponents: Exponents, lam) -> float:
-    """The p-th root of the summed y-in-dA, z and u energies of the
-    difference of two (y, z, u) triples of grids, read one node column at
-    a time (``lam`` holds the mark weights)."""
-    (y, z, u), (y0, z0, u0) = new, old
-    p, A, dt = exponents.p, bundle.A_path, bundle.grid.steps
-    y_dA, z_dt, u_dt = (np.zeros(y.shape[0]) for _ in range(3))
-    for i, w_half, w in _node_weights(bundle, exponents):
-        if i == dt.size:
-            break
-        y_dA += w_half * (A[:, i + 1] - A[:, i]) * np.abs(y[:, i] - y0[:, i]) ** p
-        z_dt += w * dt[i] * (z[:, i] - z0[:, i]) ** 2
-        if u.shape[2]:
-            du2 = sum(lam[j] * (u[:, i, j] - u0[:, i, j]) ** 2 for j in range(u.shape[2]))
-            u_dt += w * dt[i] * du2
-    total = float(np.mean(y_dA)) + float(np.mean(z_dt ** (p / 2.0)))
-    if u.shape[2]:
-        total += float(np.mean(u_dt ** (p / 2.0)))
-    return total ** (1.0 / p)
-
-
 def _norm_parts(y, z, u, k_total, bundle, exponents, lam):
     """Per-path values of each norm, before averaging; ``lam`` holds the
     mark weights. Each node's terms, summed over the marks in order, are
@@ -164,17 +143,30 @@ def power_sum_bound(xs, p: float) -> tuple[float, float]:
 
 
 def weighted_distance(
-    dy: Array,
-    dz: Array,
-    du: Array,
+    new: tuple[Array, Array, Array],
+    old: tuple[Array, Array, Array],
     bundle: "PathBundle",
     exponents: Exponents,
     mark_weights: Array,
 ) -> float:
-    """Distance between iterates in the contraction norm: the p-th root of
-    the summed y-in-dA, z and u energies of the difference fields."""
-    zeros = tuple(np.broadcast_to(0.0, a.shape) for a in (dy, dz, du))
-    return _contraction_distance((dy, dz, du), zeros, bundle, exponents, mark_weights)
+    """Distance between two (y, z, u) iterates in the contraction norm: the
+    p-th root of the summed y-in-dA, z and u energies of their difference,
+    read one node column at a time."""
+    (y, z, u), (y0, z0, u0) = new, old
+    p, A, dt, lam = exponents.p, bundle.A_path, bundle.grid.steps, mark_weights
+    y_dA, z_dt, u_dt = (np.zeros(y.shape[0]) for _ in range(3))
+    for i, w_half, w in _node_weights(bundle, exponents):
+        if i == dt.size:
+            break
+        y_dA += w_half * (A[:, i + 1] - A[:, i]) * np.abs(y[:, i] - y0[:, i]) ** p
+        z_dt += w * dt[i] * (z[:, i] - z0[:, i]) ** 2
+        if u.shape[2]:
+            du2 = sum(lam[j] * (u[:, i, j] - u0[:, i, j]) ** 2 for j in range(u.shape[2]))
+            u_dt += w * dt[i] * du2
+    total = float(np.mean(y_dA)) + float(np.mean(z_dt ** (p / 2.0)))
+    if u.shape[2]:
+        total += float(np.mean(u_dt ** (p / 2.0)))
+    return total ** (1.0 / p)
 
 
 def scale_solution(sol: "BackwardSolution", s: float) -> "BackwardSolution":

@@ -4,6 +4,7 @@ Skorokhod flat-off diagnostics with the continuous/jump split of K.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -50,10 +51,13 @@ class PenalizationSchedule:
 
     @classmethod
     def geometric(cls, n0: float = 1.0, levels: int = 11, stop_tol: float = 1e-3) -> "PenalizationSchedule":
-        return cls(
-            n_values=tuple(n0 * 2.0**k for k in range(_require_count("levels", levels, 1))),
-            stop_tol=stop_tol,
-        )
+        """Levels n0 * 2^k for k < ``levels``, each exact while it fits in float64."""
+        try:
+            n_values = tuple(math.ldexp(n0, k) for k in range(_require_count("levels", levels, 1)))
+        except OverflowError:
+            raise ValueError(f"levels: n0 * 2^(levels - 1) overflows float64, "
+                             f"got n0={n0!r}, levels={levels!r}") from None
+        return cls(n_values=n_values, stop_tol=stop_tol)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ this registry; custom problems are added in code.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from typing import Callable
@@ -97,15 +98,20 @@ def american_put(
     p: float = 1.5,
     beta: float | None = None,
     eps: float = 0.01,
-    jump_sizes: tuple[float, ...] = (),
-    jump_weights: tuple[float, ...] = (),
+    jump_size: float = 0.1,
+    total_intensity: float = 0.0,
 ) -> ProblemSpec:
     """Early-exercise put on a geometric-Brownian forward, obstacle equal
     to the payoff at every time. ``rate`` > 0 adds the discounting driver
-    f = -rate * y; relative jumps of the forward arrive with the given
-    sizes and intensities."""
-    if len(jump_sizes) != len(jump_weights):
-        raise ValueError("jump_sizes and jump_weights must pair up")
+    f = -rate * y; a positive ``total_intensity`` adds symmetric relative
+    jumps of the forward, sizes +-jump_size with the intensity split
+    evenly."""
+    if not (0.0 < jump_size < 1.0):
+        raise ParameterError("jump_size", "must lie in (0, 1)")
+    if not 0.0 <= total_intensity < math.inf:
+        raise ParameterError("total_intensity", "must be nonnegative and finite")
+    marks = MarkSpace.empty() if total_intensity == 0.0 else MarkSpace(
+        marks=(-jump_size, jump_size), weights=(0.5 * total_intensity, 0.5 * total_intensity))
 
     def payoff(x):
         return np.maximum(kappa - np.asarray(x, dtype=float), 0.0)
@@ -113,7 +119,7 @@ def american_put(
     return _problem(
         T, p, beta, eps,
         coeffs=_coeffs(alpha=-rate, phi=max(0.05, rate)),
-        marks=MarkSpace(marks=tuple(jump_sizes), weights=tuple(jump_weights)),
+        marks=marks,
         x0=x0,
         drift=lambda t, x: mu * np.asarray(x, dtype=float),
         vol=lambda t, x: sigma * np.asarray(x, dtype=float),
@@ -208,24 +214,8 @@ def pure_jump_counter(
                     marks=MarkSpace(marks=(jump,), weights=(intensity,)), jump_size=_mark_jump)
 
 
-def american_put_jumps(
-    jump_size: float = 0.1, total_intensity: float = 1.0, **kwargs
-) -> ProblemSpec:
-    """American put variant with symmetric two-sided relative jumps of the
-    forward (sizes +-jump_size, intensity split evenly)."""
-    if not (0.0 < jump_size < 1.0):
-        raise ParameterError("jump_size", "must lie in (0, 1)")
-    if total_intensity <= 0.0:
-        raise ParameterError("total_intensity", "must be positive")
-    kwargs["jump_sizes"] = (-jump_size, jump_size)
-    kwargs["jump_weights"] = (0.5 * total_intensity, 0.5 * total_intensity)
-    return american_put(**kwargs)
-
-
-# The parameters american_put_jumps takes: its own and those it passes on.
-american_put_jumps.__signature__ = inspect.signature(american_put).replace(parameters=[
-    *list(inspect.signature(american_put_jumps).parameters.values())[:2],
-    *(v for k, v in inspect.signature(american_put).parameters.items() if not k.startswith("jump_"))])
+# the put with symmetric +-10% relative jumps at unit total intensity
+american_put_jumps = functools.partial(american_put, total_intensity=1.0)
 
 
 PROBLEMS: dict[str, Callable[..., ProblemSpec]] = {

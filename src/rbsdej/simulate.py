@@ -81,7 +81,6 @@ class PathBundle:
     A_path: Array  # (n_paths, N+1)
     coeff_path: CoefficientPaths
     seed: int
-    flagged_paths: Array  # indices of paths that produced non-finite values
 
     @property
     def n_paths(self) -> int:
@@ -105,6 +104,14 @@ def _draw_block(seed: int, block: int, n_rows: int, steps: Array, lam: Array):
     return dW, counts.astype(np.int64)
 
 
+def _require_all(ok: Array, param: str, what: str, detail) -> None:
+    """Raise AssumptionError(param) at the first path where ``ok`` (a
+    (path, node) grid) fails, and at that path's first failing node."""
+    if not ok.all():
+        p0, i0 = (int(v) for v in np.argwhere(~ok)[0])
+        raise AssumptionError(f"{what} on path {p0} at node {i0}: {detail(p0, i0)}", param)
+
+
 def sample_paths(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -119,7 +126,8 @@ def sample_paths(
     X_{i+1} = X_i + drift dt + vol dB + sum_j jump_size(e_j) * count_j,
     jumps applied at the right endpoint of the step. Identical
     (spec, grid, n_paths, seed) give bit-identical output regardless of
-    ``n_threads``.
+    ``n_threads``. A non-finite state, a^2 < eps or a zeta^2 that
+    underflows to 0 raises AssumptionError at the first such path and node.
     """
     _require_count("n_paths", n_paths, 1)
     _require_count("seed", seed, 0)
@@ -163,27 +171,23 @@ def sample_paths(
                 ) * counts[:, i, j]
             X[:, i + 1] = upd
 
-    flagged = np.where(~np.all(np.isfinite(X), axis=1))[0]
-
+    _require_all(np.isfinite(X), "forward", "non-finite forward state",
+                 lambda p, i: f"X={float(X[p, i])!r}")
     q = spec.exponents.q
     eps = spec.exponents.eps
     cp = {k: np.empty_like(X) for k in ("alpha", "eta", "delta", "phi", "varphi")}
-    ok = np.all(np.isfinite(X), axis=1)
-    x_safe = np.where(np.isfinite(X), X, spec.forward.x0)
     for i in range(N + 1):
-        r = spec.coeffs.rates(float(grid.nodes[i]), x_safe[:, i])
+        r = spec.coeffs.rates(float(grid.nodes[i]), X[:, i])
         for k in cp:
             cp[k][:, i] = r[k]
     a2 = aggregate_rate(cp)
-    viol = ~(a2 >= eps)  # a NaN rate violates the floor too
-    viol &= ok[:, None]
-    if viol.any():
-        p0, i0 = (int(v) for v in np.argwhere(viol)[0])
-        raise AssumptionError(
-            f"a^2 >= eps violated on path {p0} at node {i0}: "
-            f"a^2={float(a2[p0, i0])!r}, eps={eps!r}"
-        )
+    # a NaN rate violates the floor too
+    _require_all(a2 >= eps, "eps", "a^2 >= eps violated",
+                 lambda p, i: f"a^2={float(a2[p, i])!r}, eps={eps!r}")
     zeta2 = a2 ** (q / 2.0)
+    # p near 1 makes q large, and (a^2)^{q/2} can underflow although a^2 >= eps
+    _require_all(zeta2[:, :-1] > 0.0, "p", "zeta^2 = (a^2)^(q/2) underflows to 0",
+                 lambda p, i: f"a^2={float(a2[p, i])!r}, q={q!r}")
     A = cumulative_A(grid, zeta2[:, :-1])
 
     return PathBundle(
@@ -197,5 +201,4 @@ def sample_paths(
             phi=cp["phi"], varphi=cp["varphi"], a2=a2, zeta2=zeta2,
         ),
         seed=int(seed),
-        flagged_paths=flagged,
     )

@@ -164,6 +164,27 @@ class TestConfigParsing:
         assert spec.driver(0.0, 1.0, 1.0, 0.0, 0.0) == pytest.approx(-0.2)
         assert cli.run(f, out_dir=tmp_path / "out") == cli.EXIT_OK
 
+    # each simulation failure names the config field it concerns: at
+    # p = 1.0001, zeta^2 = 0.05^5000.5 underflows although a^2 = 0.05 >= eps
+    # (it used to blame exponents.eps), and mu = 1e308 sends the forward to
+    # inf (it used to exit 1 from the solver's check of a flagged bundle)
+    @pytest.mark.parametrize("key, raw, message", [
+        ("exponents.p", "1.0001", "exponents.p: zeta^2 = (a^2)^(q/2) underflows to 0 on path 0 "
+                                  "at node 0: a^2=0.05, q=10001.0000000011"),
+        ("problem.mu", "1e308", "problem: non-finite forward state on path 0 at node 2: X=inf"),
+    ])
+    def test_simulation_assumption_names_field(self, tmp_path, capsys, key, raw, message):
+        text = CONFIG
+        for k, r in (("problem.name", "american_put"), ("grid.steps", "20"), ("mc.paths", "200"),
+                     ("basis.degree", "3"), ("exponents.eps", "0.01"), (key, raw)):
+            text = with_value(k, r, text)
+        f = tmp_path / "assumption.ini"
+        f.write_text(text)
+        out = tmp_path / "out"
+        assert cli.run(f, out_dir=out) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("raw", HOSTILE)
     @pytest.mark.parametrize("key", FUZZ_KEYS)
     def test_hostile_value(self, tmp_path, capsys, key, raw):
@@ -244,6 +265,27 @@ class TestRunModes:
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert f"error {err[0][len('error: '):]}" in manifest
         assert any(line.startswith("timing simulate ") for line in manifest)
+
+    # both used to end in an uncaught RegressionRankError, leaving only config.ini
+    @pytest.mark.parametrize("edits, message", [
+        ((("problem.name", "american_put"), ("mc.paths", "2"), ("basis.degree", "3"),
+          ("run.mode", "oracle")),
+         "step 19: 2 paths cannot identify a degree-3 basis; reduce the degree"),
+        ((("problem.name", "pure_jump_counter"), ("mc.paths", "500"), ("basis.degree", "6")),
+         "step 11: design matrix rank 6 < 7; reduce the degree"),
+    ], ids=["oracle_two_paths", "pure_jump_counter_degree_6"])
+    def test_rank_short_regression_exits_1_without_csv(self, tmp_path, capsys, edits, message):
+        text = CONFIG
+        for k, r in (("grid.steps", "20"), ("exponents.eps", "0.01")) + edits:
+            text = with_value(k, r, text)
+        f = tmp_path / "rank.ini"
+        f.write_text(text)
+        out = tmp_path / "out"
+        assert cli.run(f, out_dir=out) == cli.EXIT_SUITE_FAILURE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert sorted(x.name for x in out.iterdir()) == ["config.ini", "manifest.txt"]
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[-1] == f"error {message}"
 
     def test_warnings_go_to_manifest(self, tmp_path, capsys):
         # two levels leave the flat obstacle's penalty error above stop_tol

@@ -92,8 +92,26 @@ class TestAggregateCoefficients:
         p0, i0 = np.argwhere((X > 1.0) & (grid.nodes >= 0.5))[0]
         phi = lambda t, x: np.where((t >= 0.5) & (np.asarray(x) > 1.0), 0.1, 1.0)
         with pytest.raises(rb.AssumptionError,
-                           match=rf"^a\^2 >= eps violated on path {p0} at node {i0}: a\^2=0\.1"):
+                           match=rf"^a\^2 >= eps violated on path {p0} at node {i0}: a\^2=0\.1") as err:
             rb.sample_paths(self._spec(phi, 0.0, 0.0), grid, 16, seed=0)
+        assert err.value.param == "eps"
+
+    def test_zeta_underflow_names_p(self):
+        # at p = 1.0001 (q = 10001), zeta^2 = 0.6^5000.5 underflows to 0
+        # although a^2 = 0.6 >= eps = 0.5: the error names the first such
+        # (path, node) among the nodes that A reads, a^2 and q; it used to
+        # blame eps
+        grid = rb.build_grid(1.0, 4)
+        X = rb.sample_paths(self._spec(1.0, 0.0, 0.0), grid, 16, seed=0).forward_states
+        p0, i0 = np.argwhere(X[:, :-1] > 1.0)[0]
+        phi = lambda t, x: np.where(np.asarray(x) > 1.0, 0.6, 1.0)
+        spec = self._spec(phi, 0.0, 0.0, p=1.0001)
+        q = spec.exponents.q
+        with pytest.raises(rb.AssumptionError, match=(
+                rf"^zeta\^2 = \(a\^2\)\^\(q/2\) underflows to 0 on path {p0} at node {i0}: "
+                rf"a\^2=0\.6, q={q!r}$")) as err:
+            rb.sample_paths(spec, grid, 16, seed=0)
+        assert err.value.param == "p"
 
     def test_nan_rate_violates_the_floor(self):
         # a NaN phi fails no `a^2 < eps` test: it gave NaN A_path entries

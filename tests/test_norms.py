@@ -132,18 +132,33 @@ class TestWeightedDistance:
         bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=6)
         basis, lam = rb.RegressionBasis(degree=2), spec.marks.weights_array()
         a, b = (rb.solve_penalized(spec, bundle, basis, n) for n in (4.0, 8.0))
-        diffs = [
-            (b.y - a.y, b.z - a.z, b.u - a.u),
-            (np.zeros_like(a.y), np.zeros_like(a.z), np.zeros_like(a.u)),
-            (b.y - a.y, np.zeros_like(a.z), b.u - a.u),
-        ]
+        old = (a.y, a.z, a.u)
+        news = [(b.y, b.z, b.u), old, (b.y, a.z, b.u)]
         assert a.u.shape[2] == (2 if name == "linear_gamma" else 0)
-        for dy, dz, du in diffs:
-            got = rb.weighted_distance(dy, dz, du, bundle, spec.exponents, lam)
+        for new in news:
+            dy, dz, du = (x - x0 for x, x0 in zip(new, old))
+            got = rb.weighted_distance(new, old, bundle, spec.exponents, lam)
             _, sa, h, ll, _, _ = rb.norms._norm_parts(
                 dy, dz, du, np.zeros(bundle.n_paths), bundle, spec.exponents, lam)
             want = float(np.mean(sa) + np.mean(h) + np.mean(ll)) ** (1.0 / spec.exponents.p)
             assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("name", ["linear_z", "linear_gamma"])
+    def test_is_the_picard_residual(self, name):
+        # residual_history[k] is the distance between iterates k and k + 1,
+        # iterate 0 being the zero fields; a max_iter = k run returns iterate k
+        spec = rb.build_problem(name)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=5)
+        basis, lam = rb.RegressionBasis(degree=2), spec.marks.weights_array()
+        runs = [rb.picard_solve(spec, bundle, basis, 4.0, tol=1e-300, max_iter=k)
+                for k in (1, 2, 3, 4)]
+        history = runs[-1].run.residual_history
+        assert len(history) == 4
+        iterates = [tuple(np.zeros_like(a) for a in (runs[0].y, runs[0].z, runs[0].u))]
+        iterates += [(r.y, r.z, r.u) for r in runs]
+        for k, residual in enumerate(history):
+            got = rb.weighted_distance(iterates[k + 1], iterates[k], bundle, spec.exponents, lam)
+            assert got == residual, k
 
 
 # The full-grid expressions that the node-by-node sums replaced, kept as
@@ -251,10 +266,9 @@ class TestExactReferences:
         if beta is not None:
             e = replace(e, beta=beta)
         with np.errstate(all="ignore"):
-            got = rb.norms._contraction_distance((b.y, b.z, b.u), (a.y, a.z, a.u), bundle, e, lam)
-            wrapped = rb.weighted_distance(b.y - a.y, b.z - a.z, b.u - a.u, bundle, e, lam)
+            got = rb.weighted_distance((b.y, b.z, b.u), (a.y, a.z, a.u), bundle, e, lam)
             want = reference_distance(b.y - a.y, b.z - a.z, b.u - a.u, bundle, e, lam)
-        assert same(got, want) and same(wrapped, want)
+        assert same(got, want)
         assert math.isnan(want) if beta is not None else math.isfinite(want)
 
     @pytest.mark.parametrize("name", ["linear_z", "linear_gamma"])
@@ -273,9 +287,8 @@ class TestExactReferences:
             for k in range(3):
                 moved = [a if j == k else b for j, (a, b) in enumerate(zip(new, old))]
                 diff = [a - b for a, b in zip(moved, old)]
-                got = rb.norms._contraction_distance(moved, old, bundle, e, lam)
+                got = rb.weighted_distance(moved, old, bundle, e, lam)
                 assert got == reference_distance(*diff, bundle, e, lam), (beta, k)
-                assert rb.weighted_distance(*diff, bundle, e, lam) == got
 
 
 class TestLenglartCheck:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ class TestSchedule:
     def test_geometric(self):
         s = rb.PenalizationSchedule.geometric(1.0, 5, 1e-3)
         assert s.n_values == (1.0, 2.0, 4.0, 8.0, 16.0)
+
+    # n0 * 2.0**k overflowed in 2.0**k from k = 1024 on, and a last level
+    # past float64 raised a bare OverflowError
+    @pytest.mark.parametrize("n0", [1.0, 0.3, 5e-324, 1e-300, 7.0e300])
+    def test_geometric_levels_are_exact(self, n0):
+        levels = 1 + next(k for k in range(2200) if Fraction(n0) * 2**k >= 2**1023)
+        s = rb.PenalizationSchedule.geometric(n0, levels, 1e-3)
+        assert s.n_values == tuple(float(Fraction(n0) * 2**k) for k in range(levels))
+        assert s.n_values[:1024] == tuple(n0 * 2.0**k for k in range(min(levels, 1024)))
+        with pytest.raises(ValueError, match=r"^levels: n0 \* 2\^\(levels - 1\) overflows float64"):
+            rb.PenalizationSchedule.geometric(n0, levels + 1, 1e-3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

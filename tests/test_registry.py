@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,28 @@ def test_callables_agree_on_scalar_and_array_states(name):
             one = f(float(x[k]), float(y[k]), float(z[k]), u[k])
             assert np.ndim(one) == 0, what
             np.testing.assert_allclose(whole[k], one, rtol=1e-15, atol=0.0, err_msg=what)
+
+
+def test_put_with_jumps_is_the_put_at_unit_intensity():
+    # american_put_jumps is american_put with total_intensity = 1; the plain
+    # put has no marks, and both take the same 11 parameters by name
+    jumps, put = (rb.build_problem(name, total_intensity=1.0)
+                  for name in ("american_put_jumps", "american_put"))
+    assert jumps.marks == put.marks == rb.MarkSpace(marks=(-0.1, 0.1), weights=(0.5, 0.5))
+    assert rb.build_problem("american_put").marks.m == 0
+    grid = rb.build_grid(1.0, 12)
+    a, b = (rb.sample_paths(spec, grid, 300, seed=4) for spec in (jumps, put))
+    for x, y in [(a.brownian_increments, b.brownian_increments), (a.jump_counts, b.jump_counts),
+                 (a.forward_states, b.forward_states), (a.A_path, b.A_path)]:
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    params = [set(inspect.signature(rb.registry.PROBLEMS[name]).parameters)
+              for name in ("american_put_jumps", "american_put")]
+    assert params[0] == params[1] == {"T", "x0", "kappa", "mu", "sigma", "rate", "p", "beta",
+                                      "eps", "jump_size", "total_intensity"}
+
+
+@pytest.mark.parametrize("name", ["american_put", "american_put_jumps"])
+@pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan")])
+def test_total_intensity_named(name, value):
+    with pytest.raises(rb.registry.ParameterError, match="^total_intensity must be nonnegative"):
+        rb.build_problem(name, total_intensity=value)

@@ -49,7 +49,7 @@ def assert_same_bundle(a, b):
     c, d = a.coeff_path, b.coeff_path
     pairs = [(a.grid.nodes, b.grid.nodes), (a.brownian_increments, b.brownian_increments),
              (a.jump_counts, b.jump_counts), (a.forward_states, b.forward_states),
-             (a.A_path, b.A_path), (a.flagged_paths, b.flagged_paths)]
+             (a.A_path, b.A_path)]
     pairs += [(getattr(c, k.name), getattr(d, k.name)) for k in fields(c)]
     for x, y in pairs:
         assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
@@ -134,16 +134,23 @@ class TestSamplePaths:
         assert np.all(np.diff(b.A_path, axis=1) >= 0.0)
         assert np.all(b.A_path[:, 0] == 0.0)
 
-    def test_nan_paths_flagged(self):
+    def test_non_finite_state_names_path_and_node(self):
+        # the drift is NaN where x > 0.4, so a path's first non-finite state
+        # is one node after its first x > 0.4 on the drift-free bundle; the
+        # error names the first such path, then its node. The bundle used to
+        # be returned with its paths flagged, for the solver to refuse
         spec = rb.build_problem("brownian_terminal")
+        grid = rb.build_grid(1.0, 16)
+        X = rb.sample_paths(spec, grid, 200, seed=7).forward_states
+        p0, i0 = np.argwhere(X[:, :-1] > 0.4)[0]
         def bad_drift(t, x):
             x = np.asarray(x, dtype=float)
             return np.where(x > 0.4, np.nan, 0.0)
         spec = replace(spec, forward=replace(spec.forward, drift=bad_drift))
-        b = rb.sample_paths(spec, rb.build_grid(1.0, 16), 200, seed=7)
-        assert b.flagged_paths.size > 0
-        with pytest.raises(rb.SolverError, match="non-finite"):
-            rb.solve_penalized(spec, b, rb.RegressionBasis(degree=1), 1.0)
+        with pytest.raises(rb.AssumptionError,
+                           match=rf"^non-finite forward state on path {p0} at node {i0 + 1}: X=nan$") as err:
+            rb.sample_paths(spec, grid, 200, seed=7)
+        assert err.value.param == "forward"
 
 
 class TestBundleIO:
