@@ -22,6 +22,7 @@ from .backward import (
     solve_penalized,
 )
 from .model import (
+    AffineDriver,
     AssumptionError,
     CoefficientSpec,
     DriverNormalization,

@@ -16,12 +16,14 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import norms as _norms
-from .model import ProblemSpec, _require_count, _running_sum
+from .model import AffineDriver, ProblemSpec, _require_count, _running_sum, _shaped
 from .simulate import PathBundle
 
 Array = np.ndarray
 
 BISECT_TOL = 1e-12
+# log of the largest float64, about 709.78: e^x overflows above it
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 class RegressionRankError(RuntimeError):
@@ -214,6 +216,10 @@ def _flagged(mask: Array, n_penalty: float | Array) -> tuple[tuple[int, ...], st
     return at, f"path {at[0]} at level n={float(np.broadcast_to(n_penalty, mask.shape)[at])!r}"
 
 
+# an affine driver's slope, (n, 1), and f(0), (n, K), at one step
+AffineStep = tuple[Array, Array]
+
+
 def _solve_implicit_step(
     fy: Callable[[Array], Array],
     c: Array,
@@ -221,16 +227,19 @@ def _solve_implicit_step(
     dt: float,
     n_penalty: float | Array,
     step_index: int,
+    affine: AffineStep | None = None,
 ) -> Array:
     """Root of y = c + dt f(y) + n dt (y - L)^- for every path at once.
 
     c is (n,) or an (n, K) block of K equations, with n_penalty a float or
-    one level per column and L broadcasting against c. The closed
-    two-branch form of the driver's secant over [c, c + h], h = |c| + 1,
-    whenever its residual certifies it as the root to the bisection
-    tolerance, as it does for a driver affine in y; vectorized bisection
-    with bracket expansion otherwise. A secant slope of 1/dt or more
-    breaks the monotonicity bound alpha dt < 1 and is an error.
+    one level per column and L broadcasting against c. For a driver affine
+    in y, ``affine`` holds its slope b, (n, 1), and f(0), (n, K), and the
+    root is the closed two-branch form in b and f(0) whenever it is
+    finite. Without them, the closed form of the driver's secant over
+    [c, c + h], h = |c| + 1, whenever its residual certifies it as the
+    root to the bisection tolerance; vectorized bisection with bracket
+    expansion otherwise. A slope of 1/dt or more breaks the monotonicity
+    bound alpha dt < 1 and is an error.
     """
 
     pen_rate = n_penalty * dt
@@ -247,24 +256,27 @@ def _solve_implicit_step(
         r -= short
         return r
 
-    h = np.abs(c)
-    h += 1.0
-    f0 = fy(c)
-    b = fy(c + h) - f0  # f0 may be the driver's own array: never written
-    b /= h  # the secant slope (f(c + h) - f(c)) / h
-    f_at_0 = np.subtract(f0, b * c)
+    if affine is None:
+        h = np.abs(c)
+        h += 1.0
+        f0 = fy(c)
+        b = fy(c + h) - f0  # f0 may be the driver's own array: never written
+        b /= h  # the secant slope (f(c + h) - f(c)) / h
+        f_at_0 = np.subtract(f0, b * c)
+    else:
+        b, f_at_0 = affine  # f_at_0 may be the offset's own array: never written
     denom_free = b * dt
     np.subtract(1.0, denom_free, out=denom_free)
-    denom_pen = denom_free + pen_rate
-    bad = (denom_free <= 1e-12) | (denom_pen <= 1e-12)
+    denom_pen = np.add(denom_free, pen_rate, out=np.empty_like(c))  # c's layout, also for (n, 1) b
+    bad = denom_free <= 1e-12  # denom_pen >= denom_free, as n dt >= 0
     if np.any(bad):
+        bad = np.broadcast_to(bad, c.shape)
         at, where = _flagged(bad, n_penalty)
         raise SolverError(
             f"implicit step unstable at step {step_index}, {where}: "
             f"driver slope {float(np.broadcast_to(b, bad.shape)[at])!r} too large for dt={dt!r}"
         )
-    y_free = f_at_0
-    y_free *= dt
+    y_free = f_at_0 * dt
     y_free += c  # c + f(0) dt
     y = np.multiply(L, pen_rate, out=np.empty_like(c))
     y += y_free
@@ -274,14 +286,21 @@ def _solve_implicit_step(
     tie = (y_free < L) & (y > L)
     np.copyto(y, y_free, where=y_free >= L)
     np.copyto(y, np.broadcast_to(L, y.shape), where=tie)
-    # the secant is exact for a driver affine in y; any curvature between
-    # the probes and the root shows in the residual, and |g(y)| / g'(y)
-    # bounds the distance to the root
-    slope = denom_free  # g'(y)
-    np.copyto(slope, denom_pen, where=y < L)
-    slope *= BISECT_TOL * (1.0 + float(np.max(np.abs(y))))
-    if np.all(np.abs(g(y)) <= slope):
-        return y
+    if affine is not None:
+        # exact for an affine driver; a non-finite root goes to the
+        # bisection, which names its step and path
+        if np.isfinite(y).all():
+            return y
+        f0 = fy(c)
+    else:
+        # the secant is exact for a driver affine in y; any curvature
+        # between the probes and the root shows in the residual, and
+        # |g(y)| / g'(y) bounds the distance to the root
+        slope = denom_free  # g'(y)
+        np.copyto(slope, denom_pen, where=y < L)
+        slope *= BISECT_TOL * (1.0 + float(np.max(np.abs(y))))
+        if np.all(np.abs(g(y)) <= slope):
+            return y
 
     lo = np.minimum(c, L) - 1.0 - dt * np.abs(f0)
     hi = np.maximum(c, L) + 1.0 + dt * np.abs(f0)
@@ -327,17 +346,20 @@ def _require_finite(
     values: Mapping[str, float], where: str, spec: ProblemSpec, bundle: PathBundle
 ) -> None:
     """Raise SolverError naming the non-finite ``values`` and the largest
-    beta*A_T, whose exponential weights overflow float64 past 709."""
+    beta*A_T, which names the weights as the cause only when e^(beta A_T)
+    itself overflows float64. The caller computes ``values`` with overflow
+    and invalid-value warnings off, so the error is what a run reports."""
     bad = [f"{name} {v!r}" for name, v in values.items() if not np.isfinite(v)]
     if bad:
         beta_A = spec.exponents.beta * float(np.max(bundle.A_path[:, -1]))
-        raise SolverError(
-            f"{', '.join(bad)} {where}; largest beta*A_T = {beta_A!r} "
-            "(a weight e^(c beta A) overflows float64 above c beta A = 709)"
-        )
+        cause = ("a weight e^(c beta A) overflows float64 above c beta A = 709.78"
+                 if beta_A > _LOG_FLOAT_MAX else
+                 "the weights are finite; the values themselves leave float64")
+        raise SolverError(f"{', '.join(bad)} {where}; largest beta*A_T = {beta_A!r} ({cause})")
 
 
-StepRule = Callable[[Callable[[Array], Array], Array, Array, float, int], tuple[Array, Array]]
+StepRule = Callable[[Callable[[Array], Array], Array, Array, float, int, AffineStep | None],
+                    tuple[Array, Array]]
 Observer = Callable[..., None]
 
 
@@ -358,8 +380,10 @@ def _backward(
     Per step i (backward): fit the continuation c of y_{i+1} on X_i; read
     jump responses off the fitted continuation at jump-shifted states (or
     regress against compensated counts); regress y_{i+1} dB_i / dt_i for
-    z_i; then ``step(fy, c, L_i, dt, i)`` returns (y_i, dK_i), with fy(y)
-    the driver at the step's (z, u).
+    z_i; then ``step(fy, c, L_i, dt, i, affine)`` returns (y_i, dK_i), with
+    fy(y) the driver at the step's (z, u) and, for an ``AffineDriver``,
+    ``affine`` its slope at X_i, (n, 1), and f(0) at the step's (z, u),
+    (n, columns); None for any other driver.
 
     ``columns`` equations (the levels of a penalty schedule) share the
     sweep: each slice fits all their targets in one solve, ``step`` sees
@@ -443,7 +467,11 @@ def _backward(
         def fy(yv: Array) -> Array:
             return spec.driver_values(t, xd, yv.ravel("F"), zd, ud).reshape(yv.shape, order="F")
 
-        y_i, dk_i = step(fy, c, L_i[:, None], dt, i)
+        affine = None
+        if isinstance(spec.driver, AffineDriver):
+            f_at_0 = _shaped(spec.driver.offset(t, xd, zd, ud), xd).reshape(c.shape, order="F")
+            affine = (_shaped(spec.driver.slope(t, xi), xi)[:, None], f_at_0)
+        y_i, dk_i = step(fy, c, L_i[:, None], dt, i, affine)
         if i == 0:
             y0_stderr = [_norms._mc(col)[1] for col in (y_next + dt * fy(y_i) + dk_i).T]
         observe(i, y_i, L_i, dk_i, y0_stderr)
@@ -464,8 +492,8 @@ def _penalty_step(n_penalty: float | Array) -> StepRule:
     if not np.all((np.asarray(n_penalty) >= 0.0) & np.isfinite(n_penalty)):
         raise ValueError(f"n_penalty must be nonnegative and finite, got {n_penalty!r}")
 
-    def penalty_step(fy, c, L_i, dt, i):
-        y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i)
+    def penalty_step(fy, c, L_i, dt, i, affine):
+        y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i, affine)
         return y_i, n_penalty * dt * np.maximum(L_i - y_i, 0.0)
 
     return penalty_step
@@ -540,8 +568,9 @@ def picard_solve(
     for k in range(1, max_iter + 1):
         sol = _backward(spec, bundle, basis, step, frozen_zu=(prev_z, prev_u),
                         obstacle=obstacle, fits=fits)
-        d = _norms.weighted_distance((sol.y, sol.z, sol.u), (prev_y, prev_z, prev_u),
-                                     bundle, spec.exponents, lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _norms.weighted_distance((sol.y, sol.z, sol.u), (prev_y, prev_z, prev_u),
+                                         bundle, spec.exponents, lam)
         _require_finite({"residual": d}, f"at Picard iteration {k}", spec, bundle)
         residuals.append(d)
         prev_y, prev_z, prev_u = sol.y, sol.z, sol.u

@@ -220,6 +220,23 @@ DriverFn = Callable[[float, Array, Array, Array, Array], object]
 
 
 @dataclass(frozen=True)
+class AffineDriver:
+    """A driver affine in y: f(t, x, y, z, u) = slope(t, x) y + offset(t, x, z, u).
+
+    The slope is the driver's monotonicity rate, met with equality; the
+    implicit step reads it and f(0) = offset directly instead of probing
+    the driver. ``offset`` may return its own ``z`` or ``u`` argument:
+    the solver never writes into its result.
+    """
+
+    slope: CoeffFn
+    offset: Callable[[float, Array, Array, Array], object]
+
+    def __call__(self, t: float, x: Array, y: Array, z: Array, u: Array) -> Array:
+        return self.slope(t, x) * np.asarray(y, dtype=float) + self.offset(t, x, z, u)
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """One complete problem instance.
 

@@ -104,7 +104,8 @@ def _weighted_shortfall(A: Array, L: Array, y: Array, beta: float) -> Array:
     """e^{beta A / 2} (L - y)^+ elementwise (broadcast); zero where y >= L,
     also where the weight alone overflows."""
     short = np.maximum(L - y, 0.0)
-    w = np.exp(0.5 * beta * A)
+    with np.errstate(over="ignore"):
+        w = np.exp(0.5 * beta * A)
     # inf * 0 would read as NaN: an overflowed weight counts only on a shortfall
     return np.multiply(w, short, out=short, where=short != 0.0 if np.isinf(w).any() else True)
 
@@ -148,7 +149,8 @@ class _LevelSums:
     def row(self, k: int, n: float, wall_time: float) -> PenaltyLevelRow:
         """Convergence row of column k, at level n; raises SolverError when
         the penalty error is not finite."""
-        err, err_se = self.penalty_error(k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            err, err_se = self.penalty_error(k)
         _require_finite({"penalty error": err}, f"at level n={n!r}", self.spec, self.bundle)
         return PenaltyLevelRow(
             n=float(n), penalty_error=err, penalty_error_se=err_se,
@@ -330,8 +332,8 @@ def solve_reflected_dp_oracle(
     the pass's own (z, u) fields.
     """
 
-    def projection_step(fy, c, L_i, dt, i):
-        y_free = _solve_implicit_step(fy, c, L_i, dt, 0.0, i)
+    def projection_step(fy, c, L_i, dt, i, affine):
+        y_free = _solve_implicit_step(fy, c, L_i, dt, 0.0, i, affine)
         return np.maximum(L_i, y_free), np.maximum(L_i - y_free, 0.0)
 
     sol = _backward(spec, bundle, basis, projection_step)

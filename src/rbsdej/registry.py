@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (
+    AffineDriver,
     CoefficientSpec,
     Exponents,
     ForwardModel,
@@ -42,6 +43,10 @@ def _coeffs(alpha=0.0, eta=0.0, delta=0.0, phi=0.05, varphi=1.0) -> CoefficientS
     )
 
 
+def _zero(t, x, z, u):
+    return np.zeros(np.shape(x))
+
+
 def _mark_jump(t, x, e):
     return np.full(np.shape(x), e) if np.ndim(x) else e
 
@@ -50,7 +55,7 @@ def _problem(
     T: float, p: float, beta: float | None, eps: float, *, coeffs: CoefficientSpec,
     marks: MarkSpace = MarkSpace.empty(), x0: float = 0.0, drift=_const(0.0), vol=_const(0.0),
     jump_size=lambda t, x, e: np.zeros(np.shape(x)),
-    driver=lambda t, x, y, z, u: np.zeros(np.shape(y)),
+    driver=AffineDriver(_const(0.0), _zero),
     terminal=lambda x: np.asarray(x, dtype=float),
     obstacle=_const(NEVER_BINDING),
 ) -> ProblemSpec:
@@ -124,7 +129,7 @@ def american_put(
         drift=lambda t, x: mu * np.asarray(x, dtype=float),
         vol=lambda t, x: sigma * np.asarray(x, dtype=float),
         jump_size=lambda t, x, e: e * np.asarray(x, dtype=float),
-        driver=lambda t, x, y, z, u: -rate * np.asarray(y, dtype=float),
+        driver=AffineDriver(_const(-rate), _zero),
         terminal=payoff,
         obstacle=lambda t, x: payoff(x),
     )
@@ -152,7 +157,7 @@ def linear_y(
     """f = -y with constant terminal value: Y_t = xi * e^{-(T - t)}."""
     return _problem(
         T, p, beta, eps, coeffs=_coeffs(alpha=-1.0, phi=1.0),
-        driver=lambda t, x, y, z, u: -np.asarray(y, dtype=float),
+        driver=AffineDriver(_const(-1.0), _zero),
         terminal=lambda x: np.full(np.shape(x), xi) if np.ndim(x) else xi,
     )
 
@@ -169,7 +174,7 @@ def linear_z(
     fixed-point iteration in the z argument."""
     return _problem(
         T, p, beta, eps, coeffs=_coeffs(eta=abs(coef), phi=0.05), x0=x0, vol=_const(1.0),
-        driver=lambda t, x, y, z, u: coef * np.asarray(z, dtype=float),
+        driver=AffineDriver(_const(0.0), lambda t, x, z, u: coef * np.asarray(z, dtype=float)),
     )
 
 
@@ -187,14 +192,10 @@ def linear_gamma(
     Brownian-plus-jumps forward; exercises the fixed point in u."""
     marks = MarkSpace(marks=tuple(jump_sizes), weights=tuple(jump_weights))
     w = marks.weights_array()
-
-    def driver(t, x, y, z, u):
-        u = np.asarray(u, dtype=float)
-        return coef * (u @ w)
-
     return _problem(
         T, p, beta, eps, coeffs=_coeffs(delta=abs(coef) * math.sqrt(marks.total_intensity)),
-        marks=marks, x0=x0, vol=_const(1.0), jump_size=_mark_jump, driver=driver,
+        marks=marks, x0=x0, vol=_const(1.0), jump_size=_mark_jump,
+        driver=AffineDriver(_const(0.0), lambda t, x, z, u: coef * (np.asarray(u, dtype=float) @ w)),
     )
 
 

@@ -101,7 +101,7 @@ def _draw_block(seed: int, block: int, n_rows: int, steps: Array, lam: Array):
                                size=(n_rows, steps.size, lam.size))
     else:
         counts = np.zeros((n_rows, steps.size, 0), dtype=np.int64)
-    return dW, counts.astype(np.int64)
+    return dW, counts.astype(np.int64, copy=False)
 
 
 def _require_all(ok: Array, param: str, what: str, detail) -> None:

@@ -351,6 +351,104 @@ class TestImplicitStep:
                                              np.full(3, -10.0), 0.1, 0.0, 4)
 
 
+def _constant(v):
+    return lambda t, x: np.full(np.shape(x), v)
+
+
+def _assert_same_bits(a, b):
+    for field in ("y", "z", "u", "k_cum"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+class TestAffineDriver:
+    def test_evaluates_slope_times_y_plus_offset(self):
+        f = rb.AffineDriver(_constant(-0.5), lambda t, x, z, u: z + u @ np.array([1.0, 2.0]))
+        y, z, u = np.array([1.0, -2.0]), np.array([0.5, 0.25]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(f(0.0, np.zeros(2), y, z, u), [1.0, 3.25])
+
+    @pytest.mark.parametrize("name", sorted(rb.PROBLEMS))
+    def test_registry_drivers_give_the_plain_route_bits(self, name):
+        # the closed form in the declared slope and f(0) against the secant
+        # of the same driver behind a plain callable, on every solver
+        spec = rb.build_problem(name)
+        assert isinstance(spec.driver, rb.AffineDriver)
+        plain = replace(spec, driver=lambda *a: spec.driver(*a))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 300, seed=5)
+        basis = rb.RegressionBasis(degree=1 if name == "pure_jump_counter" else 3)
+        schedule = rb.PenalizationSchedule.geometric(1.0, 4, 1e-12)
+        for solve in (lambda s: rb.solve_penalized(s, bundle, basis, 8.0),
+                      lambda s: rb.solve_reflected_dp_oracle(s, bundle, basis),
+                      lambda s: rb.solve_reflected_penalization(s, bundle, basis, schedule).solution):
+            affine, secant = solve(spec), solve(plain)
+            _assert_same_bits(affine, secant)
+            assert affine.run.y0_stderr == secant.run.y0_stderr
+
+    def test_one_offset_call_per_step_and_the_driver_only_for_the_stderr(self):
+        base = rb.build_problem("linear_z")
+        calls = []
+
+        def counted(key, fn):
+            return lambda *a: calls.append(key) or fn(*a)
+
+        class CountedDriver(rb.AffineDriver):
+            def __call__(self, *a):
+                calls.append("driver")
+                return base.driver(*a)
+
+        spec = replace(base, driver=CountedDriver(counted("slope", base.driver.slope),
+                                                  counted("offset", base.driver.offset)))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 200, seed=3)
+        sol = rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=2), 8.0)
+        assert (calls.count("offset"), calls.count("slope"), calls.count("driver")) == (10, 10, 1)
+        _assert_same_bits(sol, rb.solve_penalized(base, bundle, rb.RegressionBasis(degree=2), 8.0))
+
+    def test_offset_returning_its_z_argument_is_not_written(self):
+        # the offset's result is a view of the fitted z_i: a step that
+        # wrote into it would change the solution's z
+        base = rb.build_problem("linear_z", coef=1.0)
+        spec = replace(base, driver=rb.AffineDriver(base.driver.slope, lambda t, x, z, u: z))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 300, seed=3)
+        basis = rb.RegressionBasis(degree=2)
+        plain = replace(spec, driver=lambda *a: spec.driver(*a))
+        for solve in (lambda s: rb.solve_penalized(s, bundle, basis, 8.0),
+                      lambda s: rb.solve_reflected_dp_oracle(s, bundle, basis)):
+            _assert_same_bits(solve(spec), solve(plain))
+
+    def test_nan_offset_names_the_step_and_path(self):
+        def offset(t, x, z, u):
+            out = np.zeros(np.shape(x))
+            out[3] = np.nan
+            return out
+
+        base = rb.build_problem("american_put")
+        spec = replace(base, driver=rb.AffineDriver(base.driver.slope, offset))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 5), 50, seed=3)
+        with pytest.raises(rb.SolverError, match=r"^no finite root of the implicit step at step 4, path 3:"):
+            rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=2), 4.0)
+
+    def test_steep_slope_named(self):
+        base = rb.build_problem("linear_y")
+        spec = replace(base, driver=rb.AffineDriver(_constant(20.0), base.driver.offset))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 4, seed=3)
+        with pytest.raises(rb.SolverError, match=r"^implicit step unstable at step 9, path 0: "
+                                                 r"driver slope 20\.0 too large for dt="):
+            rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=0), 1.0)
+        # in an (n, K) block of levels the error names the path and the level
+        slope = np.zeros((5, 1))
+        slope[2] = 100.0
+        with pytest.raises(rb.SolverError, match=r"step 7, path 2 at level n=1\.0: driver slope 100\.0"):
+            rb.backward._solve_implicit_step(
+                lambda y: slope * y, np.ones((5, 3), order="F"), np.zeros((5, 1)), 0.1,
+                np.array([1.0, 2.0, 4.0]), 7, (slope, np.zeros((5, 3), order="F")))
+
+    def test_scaled_and_normalized_problems_take_the_secant(self):
+        spec = rb.build_problem("american_put", rate=0.3)
+        with pytest.warns(UserWarning, match="already satisfies"):
+            normalized = rb.normalize_driver(spec)[0]
+        for derived in (rb.scale_problem_data(spec, 2.0), normalized):
+            assert not isinstance(derived.driver, rb.AffineDriver)
+
+
 def _solve_scheme(scheme):
     """(spec, bundle, solution) of one scheme on a small jump bundle; the
     reflected solution has its terminal jump extracted."""

@@ -2,6 +2,7 @@ import configparser
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,35 @@ class TestRunModes:
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert f"error {err[0][len('error: '):]}" in manifest
         assert any(line.startswith("timing simulate ") for line in manifest)
+
+    # each used to print numpy's overflow warning before its error and, with
+    # RuntimeWarning an error, to end in a traceback leaving only config.ini;
+    # the hint names the weights only where e^(beta A_T) itself overflows
+    @pytest.mark.parametrize("edits, cause", [
+        ((("problem.name", "american_put"), ("problem.rate", "40")),
+         "(the weights are finite; the values themselves leave float64)"),
+        ((("problem.name", "american_put"), ("problem.rate", "60")),
+         "(a weight e^(c beta A) overflows float64 above c beta A = 709.78)"),
+        ((("problem.name", "linear_y"), ("problem.xi", "1e300"), ("exponents.eps", "0.5")),
+         "(the weights are finite; the values themselves leave float64)"),
+    ], ids=["put_rate_40", "put_rate_60", "linear_y_xi_1e300"])
+    def test_overflow_with_warnings_as_errors_exits_1_by_name(self, tmp_path, capsys, edits, cause):
+        text = CONFIG
+        for k, r in (("grid.steps", "10"), ("mc.paths", "64"), ("mc.seed", "0"),
+                     ("basis.degree", "2"), ("exponents.eps", "0.01"),
+                     ("schedule.levels", "4")) + edits:
+            text = with_value(k, r, text)
+        f = tmp_path / "overflow.ini"
+        f.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(f, out_dir=out) == cli.EXIT_SUITE_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and err[0].endswith(cause), err
+        assert not list(out.glob("*.csv"))
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[-1] == f"error {err[0][len('error: '):]}"
 
     # both used to end in an uncaught RegressionRankError, leaving only config.ini
     @pytest.mark.parametrize("edits, message", [
