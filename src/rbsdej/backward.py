@@ -358,8 +358,6 @@ def _require_finite(
         raise SolverError(f"{', '.join(bad)} {where}; largest beta*A_T = {beta_A!r} ({cause})")
 
 
-StepRule = Callable[[Callable[[Array], Array], Array, Array, float, int, AffineStep | None],
-                    tuple[Array, Array]]
 Observer = Callable[..., None]
 
 
@@ -367,10 +365,9 @@ def _backward(
     spec: ProblemSpec,
     bundle: PathBundle,
     basis: RegressionBasis,
-    step: StepRule,
+    n_penalty: float | Array | None,
     frozen_zu: tuple[Array, Array] | None = None,
     u_estimator: str = "shifted",
-    columns: int = 1,
     observe: Observer = lambda *args: None,
     obstacle: Array | None = None,
     fits: dict[int, _Slice] | None = None,
@@ -380,25 +377,28 @@ def _backward(
     Per step i (backward): fit the continuation c of y_{i+1} on X_i; read
     jump responses off the fitted continuation at jump-shifted states (or
     regress against compensated counts); regress y_{i+1} dB_i / dt_i for
-    z_i; then ``step(fy, c, L_i, dt, i, affine)`` returns (y_i, dK_i), with
-    fy(y) the driver at the step's (z, u) and, for an ``AffineDriver``,
-    ``affine`` its slope at X_i, (n, 1), and f(0) at the step's (z, u),
-    (n, columns); None for any other driver.
+    z_i; then take the implicit step at the penalty level ``n_penalty``:
+    y_i the root of y = c + dt f(y) + n dt (y - L_i)^- and
+    dK_i = n dt (L_i - y_i)^+. ``n_penalty`` None is the projection of the
+    dynamic-programming oracle: y_i = max(L_i, y_free) and
+    dK_i = (L_i - y_free)^+, with y_free the root at n = 0. A negative or
+    non-finite level raises ValueError.
 
-    ``columns`` equations (the levels of a penalty schedule) share the
-    sweep: each slice fits all their targets in one solve, ``step`` sees
-    (n, columns) blocks with L_i as (n, 1), and the driver their
-    column-major flattening, with x tiled to match. Grids are kept for
-    the last column only. ``frozen_zu`` feeds the driver a previous
-    iterate's (z, u) instead of the pass's own; the run record is a
-    one-pass solve's (one iterate, residual 0), which ``picard_solve``
-    overwrites. ``observe(i, y_i, L_i, dK_i, y0_stderr)`` sees
-    each node's (n, columns) blocks, from i = N (dK_i None) down to 0, and
+    A (K,) array of levels sweeps K equations at once: each slice fits
+    all their targets in one solve, the step sees (n, K) blocks with L_i
+    as (n, 1), and the driver their column-major flattening, with x tiled
+    to match. Grids are kept for the last column only. ``frozen_zu`` feeds
+    the driver a previous iterate's (z, u) instead of the pass's own; the
+    run record is a one-pass solve's (one iterate, residual 0), which
+    ``picard_solve`` overwrites. ``observe(i, y_i, L_i, dK_i, y0_stderr)``
+    sees each node's (n, K) blocks, from i = N (dK_i None) down to 0, and
     at i = 0 the step-0 target standard error of every column.
     ``obstacle`` is the sampled L grid, sampled here when not given.
     ``fits`` is a factor store (see ``_fit_slice``) for callers that
     sweep one bundle several times with one basis; it is keyed by step.
     """
+    if n_penalty is not None and not np.all((np.asarray(n_penalty) >= 0.0) & np.isfinite(n_penalty)):
+        raise ValueError(f"n_penalty must be nonnegative and finite, got {n_penalty!r}")
     if u_estimator not in ("shifted", "compensated"):
         raise ValueError(f"unknown u_estimator {u_estimator!r}")
     _check_bundle(spec, bundle)
@@ -406,15 +406,10 @@ def _backward(
     N = grid.n_steps
     steps = grid.steps
     X = bundle.forward_states
-    n_paths, K = bundle.n_paths, columns
+    n_paths, K = bundle.n_paths, np.size(n_penalty)
     m = spec.marks.m
     marks = spec.marks.marks_array()
     lam = spec.marks.weights_array()
-
-    if frozen_zu is not None:
-        frozen_z, frozen_u = frozen_zu
-        if frozen_z.shape != (n_paths, N + 1) or frozen_u.shape != (n_paths, N + 1, m):
-            raise ValueError("frozen (z, u) fields do not match the bundle layout")
 
     # column-major grids: every per-step read and write below is a
     # contiguous column
@@ -459,7 +454,7 @@ def _backward(
             u_i = fitted[:, 2 * K:].reshape(n_paths, m, K).transpose(0, 2, 1)
 
         if frozen_zu is not None:
-            zd, ud = np.tile(frozen_z[:, i], K), np.tile(frozen_u[:, i, :], (K, 1))
+            zd, ud = np.tile(frozen_zu[0][:, i], K), np.tile(frozen_zu[1][:, i, :], (K, 1))
         else:
             zd, ud = z_i.ravel("F"), u_i.reshape((n_paths * K, m), order="F")
         xd = np.tile(xi, K)
@@ -471,7 +466,13 @@ def _backward(
         if isinstance(spec.driver, AffineDriver):
             f_at_0 = _shaped(spec.driver.offset(t, xd, zd, ud), xd).reshape(c.shape, order="F")
             affine = (_shaped(spec.driver.slope(t, xi), xi)[:, None], f_at_0)
-        y_i, dk_i = step(fy, c, L_i[:, None], dt, i, affine)
+        L_col = L_i[:, None]
+        if n_penalty is None:
+            y_free = _solve_implicit_step(fy, c, L_col, dt, 0.0, i, affine)
+            y_i, dk_i = np.maximum(L_col, y_free), np.maximum(L_col - y_free, 0.0)
+        else:
+            y_i = _solve_implicit_step(fy, c, L_col, dt, n_penalty, i, affine)
+            dk_i = n_penalty * dt * np.maximum(L_col - y_i, 0.0)
         if i == 0:
             y0_stderr = [_norms._mc(col)[1] for col in (y_next + dt * fy(y_i) + dk_i).T]
         observe(i, y_i, L_i, dk_i, y0_stderr)
@@ -483,20 +484,6 @@ def _backward(
         run=RunRecord(picard_iters=1, residual_history=(0.0,), y0_stderr=y0_stderr[-1]),
         mark_weights=lam,
     )
-
-
-def _penalty_step(n_penalty: float | Array) -> StepRule:
-    """The penalized scheme's step at level n_penalty: a float, or a (K,)
-    array with one level per column of the sweep. Raises ValueError on a
-    level that is negative or not finite."""
-    if not np.all((np.asarray(n_penalty) >= 0.0) & np.isfinite(n_penalty)):
-        raise ValueError(f"n_penalty must be nonnegative and finite, got {n_penalty!r}")
-
-    def penalty_step(fy, c, L_i, dt, i, affine):
-        y_i = _solve_implicit_step(fy, c, L_i, dt, n_penalty, i, affine)
-        return y_i, n_penalty * dt * np.maximum(L_i - y_i, 0.0)
-
-    return penalty_step
 
 
 def solve_penalized(
@@ -519,7 +506,7 @@ def solve_penalized(
     states; "compensated" regresses y_{i+1} times the compensated count
     increment, a higher-variance route kept for cross-scheme checks.
     """
-    return _backward(spec, bundle, basis, _penalty_step(n_penalty), u_estimator=u_estimator)
+    return _backward(spec, bundle, basis, n_penalty, u_estimator=u_estimator)
 
 
 def picard_solve(
@@ -550,7 +537,6 @@ def picard_solve(
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _require_count("max_iter", max_iter, 1)
-    step = _penalty_step(n_penalty)
     from .model import driver_uses_zu
 
     if not driver_uses_zu(spec):
@@ -566,7 +552,7 @@ def picard_solve(
     residuals: list[float] = []
     warnings_: list[str] = []
     for k in range(1, max_iter + 1):
-        sol = _backward(spec, bundle, basis, step, frozen_zu=(prev_z, prev_u),
+        sol = _backward(spec, bundle, basis, n_penalty, frozen_zu=(prev_z, prev_u),
                         obstacle=obstacle, fits=fits)
         with np.errstate(over="ignore", invalid="ignore"):
             d = _norms.weighted_distance((sol.y, sol.z, sol.u), (prev_y, prev_z, prev_u),

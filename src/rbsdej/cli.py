@@ -233,15 +233,39 @@ def _convergence_table(rows) -> tuple:
     ]
 
 
-def _verify_all(config: ExperimentConfig, out: Path) -> bool:
-    """Scaled-down battery of every property suite; sized to finish in
-    about a minute. The acceptance test suite runs the full-size gates."""
+# The config field of the parameter that a simulation's AssumptionError names.
+_ASSUMPTION_FIELDS = {"eps": "exponents.eps", "p": "exponents.p", "forward": "problem"}
+
+
+def _sampled(spec, grid, n_paths: int, seed: int, n_threads: int = 1):
+    """``sample_paths``, raising ConfigError naming the config field when
+    a^2 < eps, zeta^2 underflows or a forward state is not finite."""
+    try:
+        return sample_paths(spec, grid, n_paths, seed, n_threads=n_threads)
+    except AssumptionError as exc:
+        raise ConfigError(_ASSUMPTION_FIELDS[exc.param], str(exc)) from exc
+
+
+def _battery(config: ExperimentConfig) -> dict:
+    """The verify battery's (problem, bundle) pairs by name, at the config's
+    p and seed, simulated before anything is written."""
+    battery = {}
+    for name, eps, n_steps, n_paths in (("flat_obstacle", 0.5, 100, 8), ("american_put", 0.01, 25, 2_000),
+                                         ("linear_z", 0.01, 20, 2_000), ("linear_gamma", 0.01, 20, 2_000)):
+        spec = build_problem(name, T=1.0, p=config.p, eps=eps)
+        battery[name] = spec, _sampled(spec, build_grid(1.0, n_steps), n_paths, config.seed)
+    return battery
+
+
+def _verify_all(config: ExperimentConfig, battery: dict, out: Path) -> bool:
+    """Scaled-down battery of every property suite on the ``_battery``
+    bundles; sized to finish in about a minute. The acceptance test suite
+    runs the full-size gates."""
     seed = config.seed
     results = []
     results.append(jump_inequality_suite(n_samples=100_000, seed=seed))
 
-    flat = build_problem("flat_obstacle", T=1.0, p=config.p, eps=0.5)
-    flat_bundle = sample_paths(flat, build_grid(1.0, 100), 8, seed)
+    flat, flat_bundle = battery["flat_obstacle"]
     basis0 = RegressionBasis(degree=0)
     results.append(comparison_suite(flat, flat_bundle, basis0, [(1.0, 2.0), (2.0, 4.0)]))
     results.append(
@@ -253,8 +277,7 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
     )
     results.append(apriori_suite(flat, flat_bundle, basis0))
 
-    put = build_problem("american_put", T=1.0, p=config.p)
-    put_bundle = sample_paths(put, build_grid(1.0, 25), 2_000, seed)
+    put, put_bundle = battery["american_put"]
     basis = RegressionBasis(degree=3)  # battery problems need state resolution
     results.append(
         replace(
@@ -264,8 +287,7 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
     )
 
     for suffix in ("z", "gamma"):
-        spec = build_problem(f"linear_{suffix}", T=1.0, p=config.p)
-        bundle = sample_paths(spec, build_grid(1.0, 20), 2_000, seed)
+        spec, bundle = battery[f"linear_{suffix}"]
         result = contraction_suite(spec, bundle, basis)
         results.append(replace(result, name=f"picard_contraction_{suffix}"))
     # the loop leaves linear_gamma's problem and bundle for the jump crosscheck
@@ -281,14 +303,9 @@ def _verify_all(config: ExperimentConfig, out: Path) -> bool:
     return all(r.passed for r in results)
 
 
-# The config field of the parameter that a simulation's AssumptionError names.
-_ASSUMPTION_FIELDS = {"eps": "exponents.eps", "p": "exponents.p", "forward": "problem"}
-
-
 def _simulate(config: ExperimentConfig, timings: list) -> tuple:
     """Build the problem and simulate its bundle. Raises ConfigError when
-    the factory does not take or rejects a parameter, a^2 < eps, zeta^2
-    underflows or a forward state is not finite."""
+    the factory does not take or rejects a parameter, or as ``_sampled``."""
     try:
         spec = config.build()
     except KeyError as exc:
@@ -298,11 +315,8 @@ def _simulate(config: ExperimentConfig, timings: list) -> tuple:
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from exc
     t = time.perf_counter()
-    try:
-        bundle = sample_paths(spec, build_grid(config.horizon, config.n_steps), config.n_paths,
-                              config.seed, n_threads=config.threads)
-    except AssumptionError as exc:
-        raise ConfigError(_ASSUMPTION_FIELDS[exc.param], str(exc)) from exc
+    bundle = _sampled(spec, build_grid(config.horizon, config.n_steps), config.n_paths,
+                      config.seed, n_threads=config.threads)
     timings.append(("simulate", time.perf_counter() - t))
     return spec, bundle
 
@@ -359,7 +373,9 @@ def run(
             parse_config(config_path),
             **{k: v for k, v in overrides.items() if v is not None},
         )
-        if config.mode != "verify-all":
+        if config.mode == "verify-all":
+            battery = _battery(config)
+        else:
             spec, bundle = _simulate(config, timings)
         out = Path(out_dir) if out_dir is not None else Path(os.environ.get(OUT_DIR_ENV, "results"))
         try:
@@ -376,7 +392,7 @@ def run(
 
     error, warnings_ = None, ()
     if config.mode == "verify-all":
-        ok = _verify_all(config, out)
+        ok = _verify_all(config, battery, out)
     else:
         try:
             sol, tables = _solve(config, spec, bundle, timings)

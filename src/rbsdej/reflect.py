@@ -15,9 +15,7 @@ from .backward import (
     RegressionBasis,
     SolverError,
     _backward,
-    _penalty_step,
     _require_finite,
-    _solve_implicit_step,
     obstacle_on_grid,
 )
 from .model import EQUALITY_RTOL, ProblemSpec, _require_count
@@ -260,8 +258,8 @@ def _swept_levels(
 
     def sweep(chunk):  # the last level's solution, every level's sums, time per level
         sums, t0 = _LevelSums(spec, bundle), time.perf_counter()
-        sol = _backward(spec, bundle, basis, _penalty_step(np.array(chunk)),
-                        columns=len(chunk), observe=sums, obstacle=obstacle, fits=fits)
+        sol = _backward(spec, bundle, basis, np.array(chunk), observe=sums, obstacle=obstacle,
+                        fits=fits)
         return sol, sums, (time.perf_counter() - t0) / len(chunk)
 
     rows: list[PenaltyLevelRow] = []
@@ -331,12 +329,7 @@ def solve_reflected_dp_oracle(
     the rest of that increment stays in K^c. The driver is evaluated at
     the pass's own (z, u) fields.
     """
-
-    def projection_step(fy, c, L_i, dt, i, affine):
-        y_free = _solve_implicit_step(fy, c, L_i, dt, 0.0, i, affine)
-        return np.maximum(L_i, y_free), np.maximum(L_i - y_free, 0.0)
-
-    sol = _backward(spec, bundle, basis, projection_step)
+    sol = _backward(spec, bundle, basis, None)
     k_cum = sol.k_cum  # split in place: a copy would be 41 MB at 100k x 51
     jump = np.minimum(_terminal_jump(spec, bundle), k_cum[:, -1] - k_cum[:, -2])
     k_cum[:, -1] -= jump

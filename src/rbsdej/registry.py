@@ -55,18 +55,19 @@ def _problem(
     T: float, p: float, beta: float | None, eps: float, *, coeffs: CoefficientSpec,
     marks: MarkSpace = MarkSpace.empty(), x0: float = 0.0, drift=_const(0.0), vol=_const(0.0),
     jump_size=lambda t, x, e: np.zeros(np.shape(x)),
-    driver=AffineDriver(_const(0.0), _zero),
+    offset=_zero,
     terminal=lambda x: np.asarray(x, dtype=float),
     obstacle=_const(NEVER_BINDING),
 ) -> ProblemSpec:
     """A registry problem from the pieces in which it differs from the
-    shared defaults: a still forward at 0, a zero driver, terminal X_T and
-    a never-binding obstacle. Every registry obstacle is constant in time
-    before the horizon, so its left limit at T is its value at t = 0."""
+    shared defaults: a still forward at 0, a zero driver offset, terminal
+    X_T and a never-binding obstacle. The driver's slope in y is the rate
+    ``coeffs.alpha``. Every registry obstacle is constant in time before
+    the horizon, so its left limit at T is its value at t = 0."""
     return ProblemSpec(
         exponents=Exponents.from_p(p, beta=beta, eps=eps), coeffs=coeffs, marks=marks,
         forward=ForwardModel(x0=x0, drift=drift, vol=vol, jump_size=jump_size),
-        driver=driver, terminal=terminal, obstacle=obstacle,
+        driver=AffineDriver(coeffs.alpha, offset), terminal=terminal, obstacle=obstacle,
         obstacle_left_limit_T=lambda x: obstacle(0.0, x), horizon=T,
     )
 
@@ -129,7 +130,6 @@ def american_put(
         drift=lambda t, x: mu * np.asarray(x, dtype=float),
         vol=lambda t, x: sigma * np.asarray(x, dtype=float),
         jump_size=lambda t, x, e: e * np.asarray(x, dtype=float),
-        driver=AffineDriver(_const(-rate), _zero),
         terminal=payoff,
         obstacle=lambda t, x: payoff(x),
     )
@@ -157,7 +157,6 @@ def linear_y(
     """f = -y with constant terminal value: Y_t = xi * e^{-(T - t)}."""
     return _problem(
         T, p, beta, eps, coeffs=_coeffs(alpha=-1.0, phi=1.0),
-        driver=AffineDriver(_const(-1.0), _zero),
         terminal=lambda x: np.full(np.shape(x), xi) if np.ndim(x) else xi,
     )
 
@@ -174,7 +173,7 @@ def linear_z(
     fixed-point iteration in the z argument."""
     return _problem(
         T, p, beta, eps, coeffs=_coeffs(eta=abs(coef), phi=0.05), x0=x0, vol=_const(1.0),
-        driver=AffineDriver(_const(0.0), lambda t, x, z, u: coef * np.asarray(z, dtype=float)),
+        offset=lambda t, x, z, u: coef * np.asarray(z, dtype=float),
     )
 
 
@@ -195,7 +194,7 @@ def linear_gamma(
     return _problem(
         T, p, beta, eps, coeffs=_coeffs(delta=abs(coef) * math.sqrt(marks.total_intensity)),
         marks=marks, x0=x0, vol=_const(1.0), jump_size=_mark_jump,
-        driver=AffineDriver(_const(0.0), lambda t, x, z, u: coef * (np.asarray(u, dtype=float) @ w)),
+        offset=lambda t, x, z, u: coef * (np.asarray(u, dtype=float) @ w),
     )
 
 

@@ -381,7 +381,8 @@ def apriori_suite(
     is finite; (ii) scaling the data by each s in APRIORI_SCALES scales
     every field by s^p within tolerance (exactly on the same bundle for
     linear drivers); (iii) the solution-to-data norm ratio is stable
-    under grid refinement N -> 2N (within a factor gate)."""
+    under grid refinement N -> 2N (within a factor gate); a ratio that is
+    not finite fails that trial."""
     _require_gate("scaling_rtol", scaling_rtol)
     e = spec.exponents
     tally = _Tally()
@@ -413,9 +414,12 @@ def apriori_suite(
     fine_rep = _report_fields(estimate_norms(fine_sol, fine_bundle, e))
     lhs_coarse = float(np.sum(base_rep))
     lhs_fine = float(np.sum(fine_rep))
-    ratio_coarse = lhs_coarse / max(data_norms(base_sol, spec, bundle), 1e-300)
-    ratio_fine = lhs_fine / max(data_norms(fine_sol, spec, fine_bundle), 1e-300)
-    if ratio_coarse > 0.0 and ratio_fine > 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight e^(q beta A / 2) may overflow
+        ratio_coarse = lhs_coarse / max(data_norms(base_sol, spec, bundle), 1e-300)
+        ratio_fine = lhs_fine / max(data_norms(fine_sol, spec, fine_bundle), 1e-300)
+    if not (math.isfinite(ratio_coarse) and math.isfinite(ratio_fine)):
+        tally.add(1, 1, math.nan, [("refinement_nonfinite", ratio_coarse, ratio_fine)])
+    elif ratio_coarse > 0.0 and ratio_fine > 0.0:
         factor = max(ratio_coarse / ratio_fine, ratio_fine / ratio_coarse)
         bad = factor > REFINEMENT_FACTOR_GATE
         tally.add(1, int(bad), factor - REFINEMENT_FACTOR_GATE,

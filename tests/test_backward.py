@@ -225,12 +225,24 @@ class TestSolvePenalized:
             spec = rb.build_problem(name)
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=11)
             one = rb.solve_penalized(spec, bundle, basis3, 8.0)
-            step = rb.backward._penalty_step(8.0)
-            again = rb.backward._backward(spec, bundle, basis3, step, frozen_zu=(one.z, one.u))
+            again = rb.backward._backward(spec, bundle, basis3, 8.0, frozen_zu=(one.z, one.u))
             assert np.array_equal(one.y, again.y), name
-            zero = rb.backward._backward(spec, bundle, basis3, step,
+            zero = rb.backward._backward(spec, bundle, basis3, 8.0,
                                          frozen_zu=(np.zeros_like(one.z), np.zeros_like(one.u)))
             assert not np.array_equal(one.y, zero.y), name
+
+    def test_no_level_is_the_oracle_projection(self, basis3):
+        # n_penalty None is the DP oracle's step: y = max(L, y_free)
+        spec = rb.build_problem("american_put_jumps")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 500, seed=11)
+        swept = rb.backward._backward(spec, bundle, basis3, None)
+        oracle = rb.solve_reflected_dp_oracle(spec, bundle, basis3)
+        for field in ("y", "z", "u"):
+            assert getattr(swept, field).tobytes() == getattr(oracle, field).tobytes(), field
+
+    def test_negative_level_in_a_level_array_named(self, put_spec, put_bundle_small, basis3):
+        with pytest.raises(ValueError, match=r"^n_penalty must be nonnegative and finite"):
+            rb.backward._backward(put_spec, put_bundle_small, basis3, np.array([1.0, -1.0]))
 
     def test_nonaffine_driver_bisection(self, basis0):
         # driver with curvature in y: falls back to bisection and still

@@ -451,6 +451,20 @@ class TestMainEntry:
         assert len(lines) == 1 + len(summary.splitlines())
         assert lines[1].startswith("jump_inequality,300000,0,")
 
+    def test_verify_at_p_near_1_names_the_field_and_writes_nothing(self, tmp_path, capsys):
+        # zeta^2 underflows in the battery's bundles, which are simulated
+        # before anything is written
+        f = tmp_path / "p_near_1.ini"
+        f.write_text(with_value("exponents.p", "1.001"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["verify", "--config", str(f), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: exponents.p: "), err
+        assert not out.exists()
+
     def test_env_default_outdir(self, config_file, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
         code = cli.run(config_file)

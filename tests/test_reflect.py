@@ -266,9 +266,9 @@ class TestSweptSchedule:
         tol = 1e-300 if stop_at is None else full.table[stop_at - 1].penalty_error * (1 + 1e-9)
         swept = []
 
-        def counted(*args, columns=1, **kwargs):
-            swept.append(columns)
-            return backward(*args, columns=columns, **kwargs)
+        def counted(spec, bundle, basis, n_penalty, **kwargs):
+            swept.append(np.size(n_penalty))
+            return backward(spec, bundle, basis, n_penalty, **kwargs)
 
         backward = rb.reflect._backward
         monkeypatch.setattr(rb.reflect, "_backward", counted)

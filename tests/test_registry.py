@@ -65,3 +65,10 @@ def test_put_with_jumps_is_the_put_at_unit_intensity():
 def test_total_intensity_named(name, value):
     with pytest.raises(rb.registry.ParameterError, match="^total_intensity must be nonnegative"):
         rb.build_problem(name, total_intensity=value)
+
+
+@pytest.mark.parametrize("name", sorted(rb.registry.PROBLEMS))
+def test_driver_slope_is_the_monotonicity_rate(name):
+    # each registry problem states its rate once, as coeffs.alpha
+    spec = rb.build_problem(name)
+    assert spec.driver.slope is spec.coeffs.alpha

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,17 @@ class TestAprioriSuite:
     def test_put_scaling_mc(self, put_spec, put_bundle_small, basis3):
         res = rb.apriori_suite(put_spec, put_bundle_small, basis3)
         assert res.passed, res.witnesses
+
+    def test_nonfinite_data_norm_fails_the_refinement_trial(self, basis0):
+        # at p = 1.001 (q = 1001) the obstacle weight e^(q beta A / 2)
+        # overflows and the data norm reads NaN
+        spec = rb.build_problem("flat_obstacle", p=1.001)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 100), 8, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = rb.apriori_suite(spec, bundle, basis0)
+        assert res.passed is False
+        assert any(w[0] == "refinement_nonfinite" for w in res.witnesses), res.witnesses
 
 
 class TestScaleProblemData:
