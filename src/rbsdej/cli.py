@@ -239,7 +239,7 @@ _ASSUMPTION_FIELDS = {"eps": "exponents.eps", "p": "exponents.p", "forward": "pr
 
 def _sampled(spec, grid, n_paths: int, seed: int, n_threads: int = 1):
     """``sample_paths``, raising ConfigError naming the config field when
-    a^2 < eps, zeta^2 underflows or a forward state is not finite."""
+    a^2 < eps, zeta^2 under- or overflows or a forward state is not finite."""
     try:
         return sample_paths(spec, grid, n_paths, seed, n_threads=n_threads)
     except AssumptionError as exc:

@@ -58,12 +58,11 @@ def _mc(per_path: Array) -> tuple[float, float]:
     return mean, se
 
 
-def _node_weights(bundle, exponents):
-    """Each node's index with its weights e^{(p/2) beta A_i} and e^{beta A_i},
-    one (n_paths,) column at a time."""
-    half = 0.5 * exponents.p * exponents.beta
-    for i, A_i in enumerate(bundle.A_path.T):
-        yield i, np.exp(half * A_i), np.exp(exponents.beta * A_i)
+def _weights(A: Array, beta: float, *cs: float) -> tuple[Array, ...]:
+    """The weights e^{c beta A}, one per c, with c * beta formed first. A
+    weight past float64 reads inf without a warning: the caller judges it."""
+    with np.errstate(over="ignore"):
+        return tuple(np.exp(c * beta * A) for c in cs)
 
 
 def _norm_parts(y, z, u, k_total, bundle, exponents, lam):
@@ -74,7 +73,8 @@ def _norm_parts(y, z, u, k_total, bundle, exponents, lam):
     p, A, dt, counts = exponents.p, bundle.A_path, bundle.grid.steps, bundle.jump_counts
     lam = np.asarray(lam, dtype=float)
     sup_term, sA_term, h, l_lam, l_mu = (np.zeros(y.shape[0]) for _ in range(5))
-    for i, w_half, w in _node_weights(bundle, exponents):
+    for i in range(A.shape[1]):
+        w_half, w = _weights(A[:, i], exponents.beta, 0.5 * p, 1.0)
         y_p = w_half * np.abs(y[:, i]) ** p
         np.maximum(sup_term, y_p, out=sup_term)
         if i == dt.size:
@@ -155,9 +155,8 @@ def weighted_distance(
     (y, z, u), (y0, z0, u0) = new, old
     p, A, dt, lam = exponents.p, bundle.A_path, bundle.grid.steps, mark_weights
     y_dA, z_dt, u_dt = (np.zeros(y.shape[0]) for _ in range(3))
-    for i, w_half, w in _node_weights(bundle, exponents):
-        if i == dt.size:
-            break
+    for i in range(dt.size):
+        w_half, w = _weights(A[:, i], exponents.beta, 0.5 * p, 1.0)
         y_dA += w_half * (A[:, i + 1] - A[:, i]) * np.abs(y[:, i] - y0[:, i]) ** p
         z_dt += w * dt[i] * (z[:, i] - z0[:, i]) ** 2
         if u.shape[2]:

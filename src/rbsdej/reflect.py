@@ -19,7 +19,7 @@ from .backward import (
     obstacle_on_grid,
 )
 from .model import EQUALITY_RTOL, ProblemSpec, _require_count
-from .norms import _mc
+from .norms import _mc, _weights
 from .simulate import PathBundle
 
 Array = np.ndarray
@@ -102,8 +102,7 @@ def _weighted_shortfall(A: Array, L: Array, y: Array, beta: float) -> Array:
     """e^{beta A / 2} (L - y)^+ elementwise (broadcast); zero where y >= L,
     also where the weight alone overflows."""
     short = np.maximum(L - y, 0.0)
-    with np.errstate(over="ignore"):
-        w = np.exp(0.5 * beta * A)
+    (w,) = _weights(A, beta, 0.5)
     # inf * 0 would read as NaN: an overflowed weight counts only on a shortfall
     return np.multiply(w, short, out=short, where=short != 0.0 if np.isinf(w).any() else True)
 

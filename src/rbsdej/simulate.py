@@ -184,10 +184,12 @@ def sample_paths(
     # a NaN rate violates the floor too
     _require_all(a2 >= eps, "eps", "a^2 >= eps violated",
                  lambda p, i: f"a^2={float(a2[p, i])!r}, eps={eps!r}")
-    zeta2 = a2 ** (q / 2.0)
-    # p near 1 makes q large, and (a^2)^{q/2} can underflow although a^2 >= eps
-    _require_all(zeta2[:, :-1] > 0.0, "p", "zeta^2 = (a^2)^(q/2) underflows to 0",
-                 lambda p, i: f"a^2={float(a2[p, i])!r}, q={q!r}")
+    with np.errstate(over="ignore"):
+        zeta2 = a2 ** (q / 2.0)
+    # p near 1 makes q large, and (a^2)^{q/2} can leave float64 although a^2 >= eps
+    for ok, what in ((zeta2 > 0.0, "underflows to 0"), (zeta2 < np.inf, "overflows")):
+        _require_all(ok[:, :-1], "p", f"zeta^2 = (a^2)^(q/2) {what}",
+                     lambda p, i: f"a^2={float(a2[p, i])!r}, q={q!r}")
     A = cumulative_A(grid, zeta2[:, :-1])
 
     return PathBundle(

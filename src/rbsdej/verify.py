@@ -34,7 +34,7 @@ from .model import (
     aggregate_rate,
     driver_uses_zu,
 )
-from .norms import NormReport, estimate_norms, lenglart_check
+from .norms import NormReport, _weights, estimate_norms, lenglart_check
 from .reflect import PenalizationSchedule, solve_reflected_penalization
 from .simulate import PathBundle, build_grid, sample_paths
 
@@ -351,18 +351,16 @@ def data_norms(sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> 
     stability bound), p-th powers summed. The terminal values are the
     solution's last column, the obstacle is the one it carries and the
     inhomogeneity is ``spec``'s, at the bundle's states."""
-    e = spec.exponents
-    p, q, beta = e.p, e.q, e.beta
-    A = bundle.A_path
-    term = np.exp(0.5 * p * beta * A[:, -1]) * np.abs(sol.y[:, -1]) ** p
-    steps = bundle.grid.steps
+    e, A, steps = spec.exponents, bundle.A_path, bundle.grid.steps
+    term = _weights(A[:, -1], e.beta, 0.5 * e.p)[0] * np.abs(sol.y[:, -1]) ** e.p
     inhom, obst = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     for i, t in enumerate(bundle.grid.nodes):
+        w_q, w = _weights(A[:, i], e.beta, 0.5 * e.q, 1.0)
         L_i = np.maximum(sol.obstacle[:, i], 0.0)
-        np.maximum(obst, (np.exp(0.5 * q * beta * A[:, i]) * L_i) ** p, out=obst)
+        np.maximum(obst, (w_q * L_i) ** e.p, out=obst)
         if i < steps.size:  # a full column, so a scalar varphi takes the array ** p
             varphi = np.full(A.shape[0], spec.coeffs.varphi(float(t), bundle.forward_states[:, i]))
-            inhom += np.exp(beta * A[:, i]) * varphi ** p * steps[i]
+            inhom += w * varphi ** e.p * steps[i]
     return float(np.mean(term) + np.mean(inhom) + np.mean(obst))
 
 
@@ -414,11 +412,11 @@ def apriori_suite(
     fine_rep = _report_fields(estimate_norms(fine_sol, fine_bundle, e))
     lhs_coarse = float(np.sum(base_rep))
     lhs_fine = float(np.sum(fine_rep))
-    with np.errstate(over="ignore", invalid="ignore"):  # a weight e^(q beta A / 2) may overflow
-        ratio_coarse = lhs_coarse / max(data_norms(base_sol, spec, bundle), 1e-300)
-        ratio_fine = lhs_fine / max(data_norms(fine_sol, spec, fine_bundle), 1e-300)
-    if not (math.isfinite(ratio_coarse) and math.isfinite(ratio_fine)):
-        tally.add(1, 1, math.nan, [("refinement_nonfinite", ratio_coarse, ratio_fine)])
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf weight on 0 data reads NaN
+        data = data_norms(base_sol, spec, bundle), data_norms(fine_sol, spec, fine_bundle)
+    ratio_coarse, ratio_fine = lhs_coarse / max(data[0], 1e-300), lhs_fine / max(data[1], 1e-300)
+    if not all(map(math.isfinite, (ratio_coarse, ratio_fine, *data))):  # inf data: a ratio of 0
+        tally.add(1, 1, math.nan, [("refinement_nonfinite", ratio_coarse, ratio_fine, *data)])
     elif ratio_coarse > 0.0 and ratio_fine > 0.0:
         factor = max(ratio_coarse / ratio_fine, ratio_fine / ratio_coarse)
         bad = factor > REFINEMENT_FACTOR_GATE

@@ -465,6 +465,25 @@ class TestMainEntry:
         assert len(err) == 1 and err[0].startswith("config error: exponents.p: "), err
         assert not out.exists()
 
+    def test_zeta_overflow_at_p_near_1_names_the_field_and_writes_nothing(self, tmp_path, capsys):
+        # american_put at rate 30: a^2 = 30 and q = 1001, so zeta^2 overflows;
+        # it used to end as a solver error on an infinite penalty error
+        text = with_value("problem.rate", "30", with_value("problem.name", "american_put"))
+        for key, raw in [("exponents.p", "1.001"), ("mc.paths", "64"), ("grid.steps", "10"),
+                         ("basis.degree", "2")]:
+            text = with_value(key, raw, text)
+        f = tmp_path / "zeta.ini"
+        f.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["solve", "--config", str(f), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "config error: exponents.p: zeta^2 = (a^2)^(q/2) overflows on path 0 at node 0: "), err
+        assert not out.exists()
+
     def test_env_default_outdir(self, config_file, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
         code = cli.run(config_file)

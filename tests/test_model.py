@@ -113,6 +113,24 @@ class TestAggregateCoefficients:
             rb.sample_paths(spec, grid, 16, seed=0)
         assert err.value.param == "p"
 
+    def test_zeta_overflow_names_p(self):
+        # at p = 1.001 (q = 1001), zeta^2 = 30^500.5 overflows float64: the
+        # error names the first (path, node) that A reads, a^2 and q; it used
+        # to end as a solver error on an infinite penalty error
+        grid = rb.build_grid(1.0, 4)
+        X = rb.sample_paths(self._spec(1.0, 0.0, 0.0), grid, 16, seed=0).forward_states
+        p0, i0 = np.argwhere(X[:, :-1] > 1.0)[0]
+        phi = lambda t, x: np.where(np.asarray(x) > 1.0, 30.0, 1.0)
+        spec = self._spec(phi, 0.0, 0.0, p=1.001)
+        q = spec.exponents.q
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(rb.AssumptionError, match=(
+                    rf"^zeta\^2 = \(a\^2\)\^\(q/2\) overflows on path {p0} at node {i0}: "
+                    rf"a\^2=30\.0, q={q!r}$")) as err:
+                rb.sample_paths(spec, grid, 16, seed=0)
+        assert err.value.param == "p"
+
     def test_nan_rate_violates_the_floor(self):
         # a NaN phi fails no `a^2 < eps` test: it gave NaN A_path entries
         # with no error, a finite Y0 and NaN norms

@@ -291,6 +291,29 @@ class TestExactReferences:
                 assert got == reference_distance(*diff, bundle, e, lam), (beta, k)
 
 
+class TestWeights:
+    def test_an_overflowing_weight_reads_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (w,) = rb.norms._weights(np.array([1e4]), 1.0, 1.0)
+        assert w.tolist() == [np.inf]
+
+    @pytest.mark.parametrize("beta", [0.7, OVERFLOW_BETA], ids=["finite", "overflow"])
+    def test_each_weight_is_the_expression_it_replaced(self, beta):
+        # every caller forms c * beta before the product with A, as the
+        # expressions in norms, reflect and verify did
+        A = np.random.default_rng(9).uniform(0.0, 0.02, (64, 21))
+        p = 1.37
+        q = p / (p - 1.0)
+        with np.errstate(over="ignore"):
+            want = (np.exp(0.5 * p * beta * A), np.exp(0.5 * q * beta * A),
+                    np.exp(beta * A), np.exp(0.5 * beta * A))
+        got = rb.norms._weights(A, beta, 0.5 * p, 0.5 * q, 1.0, 0.5)
+        assert len(got) == 4 and all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        if beta == OVERFLOW_BETA:
+            assert np.isinf(want[0]).any() and np.isfinite(want[0]).any()
+
+
 class TestLenglartCheck:
     def test_zero_field(self, counter_bundle, zero_beta_exponents):
         sol = constant_solution(counter_bundle, u=(0.0,), lam=(2.0,))

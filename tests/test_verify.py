@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -215,6 +216,20 @@ class TestAprioriSuite:
             res = rb.apriori_suite(spec, bundle, basis0)
         assert res.passed is False
         assert any(w[0] == "refinement_nonfinite" for w in res.witnesses), res.witnesses
+
+    def test_infinite_data_norm_fails_the_refinement_trial(self, basis0):
+        # with the obstacle at 1 on every node, e^(q beta A / 2) L overflows
+        # to inf with no inf * 0: the data norm reads inf and each ratio 0,
+        # which passed
+        spec = replace(rb.build_problem("flat_obstacle", p=1.001), obstacle=lambda t, x: 1.0,
+                       obstacle_left_limit_T=lambda x: 1.0, terminal=lambda x: np.ones_like(x))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 100), 8, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = rb.apriori_suite(spec, bundle, basis0)
+        assert res.passed is False
+        [witness] = [w for w in res.witnesses if w[0] == "refinement_nonfinite"]
+        assert witness[1:3] == (0.0, 0.0) and witness[3:] == (math.inf, math.inf), witness
 
 
 class TestScaleProblemData:
