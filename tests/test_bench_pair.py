@@ -53,7 +53,7 @@ def test_summary_of_one_pair(bench_pair):
     assert entry["failed"] == {"parent": 0, "change": 1}
 
 
-def test_pairs_alternate_and_the_parent_iqr_uses_its_quartiles(bench_pair):
+def test_medians_quartiles_and_wins_over_five_pairs(bench_pair):
     runs = []
     for pair, (p, c) in enumerate([(1.0, 0.9), (2.0, 2.1), (3.0, 2.5), (4.0, 3.0), (5.0, 4.0)], 1):
         for tree, solve in (("parent", p), ("change", c)):

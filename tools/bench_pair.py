@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of ``bench/run.py``, in one JSON file.
 
     python tools/bench_pair.py --base REV [--change REV] --workloads W [W ...] \\
-        --pairs N --seed 11 --out BENCH_issueN.json
+        --pairs N --seed 11 --out FILE.json
 
 Both revisions are checked out with ``git worktree add --detach`` into the
 sibling directories ``parent`` and ``change`` of one temporary directory, so
