@@ -120,11 +120,8 @@ def lenglart_check(
     rhs is the compensator version, and the gate is
     lhs <= 2 rhs + 3 joint standard errors.
     """
-    _, _, _, l_lam, l_mu, _ = _norm_parts(
-        sol.y, sol.z, sol.u, sol.k_T(), bundle, exponents, sol.mark_weights
-    )
-    lhs, lhs_se = _mc(l_mu)
-    rhs, rhs_se = _mc(l_lam)
+    r = estimate_norms(sol, bundle, exponents)
+    lhs, lhs_se, rhs, rhs_se = r.l_p_mu_beta, r.l_p_mu_beta_se, r.l_p_lambda_beta, r.l_p_lambda_beta_se
     joint = float(np.sqrt(lhs_se**2 + (2.0 * rhs_se) ** 2))
     return lhs, rhs, bool(lhs <= 2.0 * rhs + 3.0 * joint)
 

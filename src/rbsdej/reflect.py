@@ -129,25 +129,11 @@ class _LevelSums:
             self.flat += clearance
             self.y0, self.y0_stderr = y_i, y0_stderr
 
-    @classmethod
-    def of(cls, sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> "_LevelSums":
-        """The sums of one solution, fed from its grids; K_T is the sum of
-        the k_cum increments, as a raw penalized solve has no terminal jump."""
-        sums = cls(spec, bundle)
-        dk = np.diff(sol.k_cum, axis=1)
-        for i in range(dk.shape[1], -1, -1):
-            sums(i, sol.y[:, i, None], sol.obstacle[:, i],
-                 dk[:, i, None] if i < dk.shape[1] else None, [sol.run.y0_stderr])
-        return sums
-
-    def penalty_error(self, k: int) -> tuple[float, float]:
-        return _mc(self.sup[:, k] ** self.spec.exponents.p)
-
     def row(self, k: int, n: float, wall_time: float) -> PenaltyLevelRow:
         """Convergence row of column k, at level n; raises SolverError when
         the penalty error is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
-            err, err_se = self.penalty_error(k)
+            err, err_se = _mc(self.sup[:, k] ** self.spec.exponents.p)
         _require_finite({"penalty error": err}, f"at level n={n!r}", self.spec, self.bundle)
         return PenaltyLevelRow(
             n=float(n), penalty_error=err, penalty_error_se=err_se,
@@ -162,8 +148,12 @@ def penalty_error(
 ) -> tuple[float, float]:
     """Weighted sup penalty error, p-th power: MC mean and standard error
     of (max over nodes of e^{beta A / 2} (y - L)^-)^p, with L the obstacle
-    the solution carries."""
-    return _LevelSums.of(sol, spec, bundle).penalty_error(0)
+    the solution carries; one node column at a time."""
+    A, L, y = bundle.A_path, sol.obstacle, sol.y
+    sup = np.zeros(y.shape[0])
+    for i in range(y.shape[1]):
+        np.maximum(sup, _weighted_shortfall(A[:, i], L[:, i], y[:, i], spec.exponents.beta), out=sup)
+    return _mc(sup ** spec.exponents.p)
 
 
 def _terminal_jump(spec: ProblemSpec, bundle: PathBundle) -> Array:

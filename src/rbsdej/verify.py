@@ -355,12 +355,13 @@ def data_norms(sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle) -> 
     term = _weights(A[:, -1], e.beta, 0.5 * e.p)[0] * np.abs(sol.y[:, -1]) ** e.p
     inhom, obst = np.zeros(A.shape[0]), np.zeros(A.shape[0])
     for i, t in enumerate(bundle.grid.nodes):
-        w_q, w = _weights(A[:, i], e.beta, 0.5 * e.q, 1.0)
+        at_step = i < steps.size  # node N has no dt-integral, so no e^{beta A} weight
+        w_q, *w = _weights(A[:, i], e.beta, 0.5 * e.q, *([1.0] if at_step else []))
         L_i = np.maximum(sol.obstacle[:, i], 0.0)
         np.maximum(obst, (w_q * L_i) ** e.p, out=obst)
-        if i < steps.size:  # a full column, so a scalar varphi takes the array ** p
+        if at_step:  # a full column, so a scalar varphi takes the array ** p
             varphi = np.full(A.shape[0], spec.coeffs.varphi(float(t), bundle.forward_states[:, i]))
-            inhom += w * varphi ** e.p * steps[i]
+            inhom += w[0] * varphi ** e.p * steps[i]
     return float(np.mean(term) + np.mean(inhom) + np.mean(obst))
 
 

@@ -237,6 +237,22 @@ class TestRunModes:
         assert code == cli.EXIT_OK
         assert (out / "convergence.csv").exists()
 
+    def test_penalized_row_agrees_with_the_solution(self, tmp_path):
+        # the row comes from the sweep's running sums, the solution row from the grids
+        f = tmp_path / "jumps.ini"
+        text = with_value("problem.name", "american_put_jumps")
+        for key, raw in (("mc.paths", "256"), ("basis.degree", "2"), ("exponents.eps", "0.01"),
+                         ("run.mode", "penalized")):
+            text = with_value(key, raw, text)
+        f.write_text(text)
+        out = tmp_path / "pen"
+        assert cli.run(f, out_dir=out) == cli.EXIT_OK
+        [row] = csv.DictReader(open(out / "convergence.csv"))
+        [solution] = csv.DictReader(open(out / "solution.csv"))
+        for got, want in (("Y0_mean", "y0_mean"), ("Y0_stderr", "y0_stderr"), ("K_T_mean", "k_T_mean")):
+            a, b = float(row[got]), float(solution[want])
+            assert b != 0.0 and abs(a - b) <= 1e-12 * abs(b), (got, a, b)
+
     def test_norms_mode(self, config_file, tmp_path):
         out = tmp_path / "norms"
         code = cli.run(config_file, out_dir=out, mode_override="norms")
@@ -440,7 +456,12 @@ class TestMainEntry:
         code = cli.main(["solve", "--config", str(config_file), "--out", str(out)])
         assert code == cli.EXIT_OK
 
-    def test_verify_subcommand_all_pass(self, config_file, tmp_path, capsys):
+    # penalty_decay used to fail at every p <= 1.1: over 11 levels the
+    # flat_obstacle decay ratio, 0.0899^p, stays above the 0.05 gate for p < 1.243
+    @pytest.mark.parametrize("p", ["1.05", "1.1", "1.5"])
+    def test_verify_subcommand_all_pass(self, tmp_path, capsys, p):
+        config_file = tmp_path / "exp.ini"
+        config_file.write_text(with_value("exponents.p", p))
         out = tmp_path / "verify_out"
         code = cli.main(["verify", "--config", str(config_file), "--out", str(out)])
         assert code == cli.EXIT_OK

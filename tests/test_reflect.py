@@ -186,13 +186,56 @@ class TestReflectedPenalization:
 ROW_FIELDS = ("penalty_error", "penalty_error_se", "y0_mean", "y0_stderr", "k_T_mean", "flat_integral")
 
 
+def replay_penalty_error(sol, bundle, spec):
+    """The weighted sup penalty error by hand, node column by node column:
+    an overflowed weight counts only on a shortfall."""
+    beta, p = spec.exponents.beta, spec.exponents.p
+    sup = np.zeros(bundle.n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(bundle.grid.nodes.size):
+            short = np.maximum(sol.obstacle[:, i] - sol.y[:, i], 0.0)
+            w = np.exp(0.5 * beta * bundle.A_path[:, i])
+            sup = np.maximum(sup, np.where(short > 0.0, w * short, 0.0))
+        v = sup ** p
+        return float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(v.size))
+
+
+class TestPenaltyError:
+    @pytest.mark.parametrize("name, params, steps, paths, degree, overflows", [
+        ("american_put_jumps", {}, 10, 2000, 3, False),
+        ("flat_obstacle", {}, 100, 8, 0, False),
+        ("american_put", {"rate": 2.0, "p": 1.05}, 10, 2000, 3, True),  # beta A_T about 3000
+    ])
+    def test_matches_a_node_column_replay_bit_for_bit(self, name, params, steps, paths, degree,
+                                                      overflows):
+        spec = rb.build_problem(name, **params)
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, steps), paths, seed=5)
+        sol = rb.solve_penalized(spec, bundle, rb.RegressionBasis(degree=degree), 8.0)
+        with np.errstate(invalid="ignore"):  # the std of an infinite error
+            got = rb.penalty_error(sol, bundle, spec)
+        want = replay_penalty_error(sol, bundle, spec)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert (math.isinf(got[0]) and math.isnan(got[1])) == overflows
+
+
+def grid_row(sol, spec, bundle, n):
+    """The convergence row of a penalized solve, read off its grids."""
+    err, err_se = rb.penalty_error(sol, bundle, spec)
+    flat = np.sum((sol.y[:, :-1] - sol.obstacle[:, :-1]) * np.diff(sol.k_cum, axis=1), axis=1)
+    return rb.reflect.PenaltyLevelRow(
+        n=n, penalty_error=err, penalty_error_se=err_se, y0_mean=sol.y0_mean(),
+        y0_stderr=sol.run.y0_stderr, k_T_mean=float(np.mean(sol.k_cum[:, -1])),
+        flat_integral=abs(float(np.mean(flat))), wall_time=0.0,
+    )
+
+
 def per_level_reference(spec, bundle, basis, schedule):
     """The schedule solved one level at a time, with the rows and the
     terminal-jump split of the reflected run."""
     rows = []
     for n in schedule.n_values:
         sol = rb.solve_penalized(spec, bundle, basis, n)
-        rows.append(rb.reflect._LevelSums.of(sol, spec, bundle).row(0, n, 0.0))
+        rows.append(grid_row(sol, spec, bundle, n))
         if rows[-1].penalty_error < schedule.stop_tol:
             break
     return rows, rb.reflect.extract_terminal_jump(sol, spec, bundle, rows[-1].n)

@@ -274,6 +274,23 @@ class TestDataNorms:
         sc = rb.verify.data_norms(rb.solve_penalized(scaled, bundle, basis3, 16.0), scaled, bundle)
         assert sc / (2.0**spec.exponents.p * base) == pytest.approx(1.0, rel=1e-12)
 
+    def test_node_N_asks_only_the_obstacle_weight(self, put_spec, put_bundle_small, basis3,
+                                                   monkeypatch):
+        # node N has no dt-integral, so e^{beta A_N} would go unused
+        sol = rb.solve_penalized(put_spec, put_bundle_small, basis3, 16.0)
+        calls, weights = [], rb.verify._weights
+
+        def recorded(A, beta, *cs):
+            calls.append((A, cs))
+            return weights(A, beta, *cs)
+
+        monkeypatch.setattr(rb.verify, "_weights", recorded)
+        rb.verify.data_norms(sol, put_spec, put_bundle_small)
+        e, A = put_spec.exponents, put_bundle_small.A_path
+        N = A.shape[1] - 1
+        assert [cs for _, cs in calls] == [(0.5 * e.p,)] + [(0.5 * e.q, 1.0)] * N + [(0.5 * e.q,)]
+        assert np.array_equal(calls[-1][0], A[:, N])
+
 
 class TestJumpEstimatorCrosscheck:
     def test_gamma_driver_agreement(self):
