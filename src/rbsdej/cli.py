@@ -269,7 +269,7 @@ def _verify_all(config: ExperimentConfig, battery: dict, out: Path) -> bool:
     results.append(
         penalty_decay_suite(
             flat, flat_bundle, basis0,
-            # 12 levels: the last-to-first ratio, (1.01 / 21.48)^p, is below the gate for every p > 1
+            # 12 levels: the exact decay ratio, (1.01 / 21.48)^p, is below the gate for all p > 1
             PenalizationSchedule.geometric(1.0, 12, 1e-3),
             final_over_first_gate=0.05,
         )

@@ -121,8 +121,8 @@ def lenglart_check(
     lhs <= 2 rhs + 3 joint standard errors.
     """
     r = estimate_norms(sol, bundle, exponents)
-    lhs, lhs_se, rhs, rhs_se = r.l_p_mu_beta, r.l_p_mu_beta_se, r.l_p_lambda_beta, r.l_p_lambda_beta_se
-    joint = float(np.sqrt(lhs_se**2 + (2.0 * rhs_se) ** 2))
+    lhs, rhs = r.l_p_mu_beta, r.l_p_lambda_beta
+    joint = float(np.sqrt(r.l_p_mu_beta_se**2 + (2.0 * r.l_p_lambda_beta_se) ** 2))
     return lhs, rhs, bool(lhs <= 2.0 * rhs + 3.0 * joint)
 
 

@@ -149,10 +149,10 @@ def penalty_error(
     """Weighted sup penalty error, p-th power: MC mean and standard error
     of (max over nodes of e^{beta A / 2} (y - L)^-)^p, with L the obstacle
     the solution carries; one node column at a time."""
-    A, L, y = bundle.A_path, sol.obstacle, sol.y
+    A, L, y, beta = bundle.A_path, sol.obstacle, sol.y, spec.exponents.beta
     sup = np.zeros(y.shape[0])
     for i in range(y.shape[1]):
-        np.maximum(sup, _weighted_shortfall(A[:, i], L[:, i], y[:, i], spec.exponents.beta), out=sup)
+        np.maximum(sup, _weighted_shortfall(A[:, i], L[:, i], y[:, i], beta), out=sup)
     return _mc(sup ** spec.exponents.p)
 
 

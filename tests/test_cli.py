@@ -247,8 +247,8 @@ class TestRunModes:
         f.write_text(text)
         out = tmp_path / "pen"
         assert cli.run(f, out_dir=out) == cli.EXIT_OK
-        [row] = csv.DictReader(open(out / "convergence.csv"))
-        [solution] = csv.DictReader(open(out / "solution.csv"))
+        [row] = csv.DictReader((out / "convergence.csv").read_text().splitlines())
+        [solution] = csv.DictReader((out / "solution.csv").read_text().splitlines())
         for got, want in (("Y0_mean", "y0_mean"), ("Y0_stderr", "y0_stderr"), ("K_T_mean", "k_T_mean")):
             a, b = float(row[got]), float(solution[want])
             assert b != 0.0 and abs(a - b) <= 1e-12 * abs(b), (got, a, b)
