@@ -291,7 +291,6 @@ def _solve_implicit_step(
         # bisection, which names its step and path
         if np.isfinite(y).all():
             return y
-        f0 = fy(c)
     else:
         # the secant is exact for a driver affine in y; any curvature
         # between the probes and the root shows in the residual, and
@@ -301,37 +300,41 @@ def _solve_implicit_step(
         slope *= BISECT_TOL * (1.0 + float(np.max(np.abs(y))))
         if np.all(np.abs(g(y)) <= slope):
             return y
-
-    lo = np.minimum(c, L) - 1.0 - dt * np.abs(f0)
-    hi = np.maximum(c, L) + 1.0 + dt * np.abs(f0)
-    width = hi - lo
-    for _ in range(60):
-        glo, ghi = g(lo), g(hi)
-        bad_lo, bad_hi = glo > 0.0, ghi < 0.0
-        if not (bad_lo.any() or bad_hi.any()):
-            break
-        lo = np.where(bad_lo, lo - width, lo)
-        hi = np.where(bad_hi, hi + width, hi)
+    # the bisection's last check names a root that is not finite, so
+    # values past float64 on the way there are not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        if affine is not None:
+            f0 = fy(c)
+        lo = np.minimum(c, L) - 1.0 - dt * np.abs(f0)
+        hi = np.maximum(c, L) + 1.0 + dt * np.abs(f0)
         width = hi - lo
-    else:
-        _, where = _flagged((g(lo) > 0.0) | (g(hi) < 0.0), n_penalty)
-        raise SolverError(f"no bracket for the implicit step at step {step_index}, {where}")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        take_hi = gm > 0.0
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-        if float(np.max(hi - lo)) <= BISECT_TOL * (1.0 + float(np.max(np.abs(mid)))):
-            break
-    # a NaN fails every comparison above, so the bisection can end on a
-    # NaN root or on a bracket that a NaN of g moved: g(lo) <= 0 <= g(hi)
-    # must still hold
-    lost = ~((g(lo) <= 0.0) & (g(hi) >= 0.0))
-    if lost.any():
-        _, where = _flagged(lost, n_penalty)
-        raise SolverError(f"no finite root of the implicit step at step {step_index}, {where}: "
-                          "the driver, continuation or obstacle is not finite in its bracket")
+        for _ in range(60):
+            glo, ghi = g(lo), g(hi)
+            bad_lo, bad_hi = glo > 0.0, ghi < 0.0
+            if not (bad_lo.any() or bad_hi.any()):
+                break
+            lo = np.where(bad_lo, lo - width, lo)
+            hi = np.where(bad_hi, hi + width, hi)
+            width = hi - lo
+        else:
+            _, where = _flagged((g(lo) > 0.0) | (g(hi) < 0.0), n_penalty)
+            raise SolverError(f"no bracket for the implicit step at step {step_index}, {where}")
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            gm = g(mid)
+            take_hi = gm > 0.0
+            hi = np.where(take_hi, mid, hi)
+            lo = np.where(take_hi, lo, mid)
+            if float(np.max(hi - lo)) <= BISECT_TOL * (1.0 + float(np.max(np.abs(mid)))):
+                break
+        # a NaN fails every comparison above, so the bisection can end on a
+        # NaN root or on a bracket that a NaN of g moved: g(lo) <= 0 <= g(hi)
+        # must still hold
+        lost = ~((g(lo) <= 0.0) & (g(hi) >= 0.0))
+        if lost.any():
+            _, where = _flagged(lost, n_penalty)
+            raise SolverError(f"no finite root of the implicit step at step {step_index}, {where}: "
+                              "the driver, continuation or obstacle is not finite in its bracket")
     return 0.5 * (lo + hi)
 
 
@@ -431,17 +434,19 @@ def _backward(
         dB = bundle.brownian_increments[:, i, None]
         # targets of the slice, fitted in one solve, K columns each: the
         # continuation, the z regressand and, compensated, one jump
-        # regressand per mark
-        rhs[:, :K] = y_next
-        rhs[:, K:2 * K] = y_next * dB / dt
-        if u_estimator == "compensated":
-            for j in range(m):
-                comp = bundle.jump_counts[:, i, j] - lam[j] * dt
-                rhs[:, (2 + j) * K:(3 + j) * K] = y_next * comp[:, None] / (lam[j] * dt)
-        try:
-            sl, coeffs, fitted = _fit_slice(xi, rhs, basis, fits, i)
-        except RegressionRankError as exc:
-            raise RegressionRankError(f"step {i}: {exc}") from exc
+        # regressand per mark. A target or fit past float64 is not warned:
+        # the implicit step, or the CLI's norm report, names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs[:, :K] = y_next
+            rhs[:, K:2 * K] = y_next * dB / dt
+            if u_estimator == "compensated":
+                for j in range(m):
+                    comp = bundle.jump_counts[:, i, j] - lam[j] * dt
+                    rhs[:, (2 + j) * K:(3 + j) * K] = y_next * comp[:, None] / (lam[j] * dt)
+            try:
+                sl, coeffs, fitted = _fit_slice(xi, rhs, basis, fits, i)
+            except RegressionRankError as exc:
+                raise RegressionRankError(f"step {i}: {exc}") from exc
         c, z_i = np.asfortranarray(fitted[:, :K]), np.asfortranarray(fitted[:, K:2 * K])
         if u_estimator == "shifted":
             u_i = np.empty((n_paths, K, m), order="F")

@@ -107,6 +107,17 @@ def _weighted_shortfall(A: Array, L: Array, y: Array, beta: float) -> Array:
     return np.multiply(w, short, out=short, where=short != 0.0 if np.isinf(w).any() else True)
 
 
+def _penalty_moment(sup: Array, where: str, spec: ProblemSpec,
+                    bundle: PathBundle) -> tuple[float, float]:
+    """MC mean and standard error of sup^p, the p-th power of a per-path
+    weighted sup shortfall; raises SolverError, naming ``where`` and the
+    largest beta*A_T, when the mean is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err, err_se = _mc(sup ** spec.exponents.p)
+    _require_finite({"penalty error": err}, where, spec, bundle)
+    return err, err_se
+
+
 class _LevelSums:
     """Per-path running sums behind the convergence rows of K equations
     solved together, fed each node's (n, K) blocks from node N (dK None)
@@ -132,9 +143,7 @@ class _LevelSums:
     def row(self, k: int, n: float, wall_time: float) -> PenaltyLevelRow:
         """Convergence row of column k, at level n; raises SolverError when
         the penalty error is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            err, err_se = _mc(self.sup[:, k] ** self.spec.exponents.p)
-        _require_finite({"penalty error": err}, f"at level n={n!r}", self.spec, self.bundle)
+        err, err_se = _penalty_moment(self.sup[:, k], f"at level n={n!r}", self.spec, self.bundle)
         return PenaltyLevelRow(
             n=float(n), penalty_error=err, penalty_error_se=err_se,
             y0_mean=float(np.mean(self.y0[:, k])), y0_stderr=self.y0_stderr[k],
@@ -148,12 +157,13 @@ def penalty_error(
 ) -> tuple[float, float]:
     """Weighted sup penalty error, p-th power: MC mean and standard error
     of (max over nodes of e^{beta A / 2} (y - L)^-)^p, with L the obstacle
-    the solution carries; one node column at a time."""
+    the solution carries; one node column at a time. Raises SolverError
+    when the error is not finite."""
     A, L, y, beta = bundle.A_path, sol.obstacle, sol.y, spec.exponents.beta
     sup = np.zeros(y.shape[0])
     for i in range(y.shape[1]):
         np.maximum(sup, _weighted_shortfall(A[:, i], L[:, i], y[:, i], beta), out=sup)
-    return _mc(sup ** spec.exponents.p)
+    return _penalty_moment(sup, "of the solution", spec, bundle)
 
 
 def _terminal_jump(spec: ProblemSpec, bundle: PathBundle) -> Array:

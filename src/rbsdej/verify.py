@@ -5,8 +5,10 @@ fixed-point contraction diagnostics, and a randomized sweep of the
 factor-2 jump-energy domination.
 
 Statistical gates (3 sigma pointwise, 0.1% violation fraction, factor-2
-stability) are fixed conventions of the shipped suites so that pass/fail
-is reproducible.
+stability, the penalty decay ratio, the scaling tolerance and the
+crosscheck's standard-error multiple) and the exponents of the jump sweep
+are fixed conventions of the shipped suites so that pass/fail is
+reproducible.
 """
 from __future__ import annotations
 
@@ -44,11 +46,16 @@ MAX_WITNESSES = 10
 JUMP_BOX = 10.0  # the jump inequality is swept over [-JUMP_BOX, JUMP_BOX]^2
 MAX_VIOLATION_FRACTION = 1e-3  # comparison suite: share of (path, node) allowed to violate
 REFINEMENT_FACTOR_GATE = 2.0  # a-priori suite: norm-to-data ratio drift under N -> 2N
+JUMP_P_VALUES = (1.1, 1.5, 1.9)  # jump inequality suite: the exponents p swept
+DECAY_RATIO_GATE = 0.05  # penalty decay suite: largest last-to-first error ratio
 APRIORI_N_PENALTY = 64.0  # a-priori suite: the penalty level of its solves
 APRIORI_SCALES = (2.0, 4.0)  # a-priori suite: the data scales s checked against s^p
+APRIORI_SCALING_RTOL = 0.05  # a-priori suite: relative tolerance of the s^p scaling
 CONTRACTION_N_PENALTY = 8.0  # contraction suite: the penalty level of its Picard runs
 CONTRACTION_TOL = 1e-10  # contraction suite: Picard tolerance; ratios count above 10x it
 CONTRACTION_MAX_ITER = 12  # contraction suite: Picard iterations per weight exponent
+CROSSCHECK_N_PENALTY = 8.0  # jump crosscheck: the penalty level of its two solves
+CROSSCHECK_SE_GATE = 3.0  # jump crosscheck: allowed gap in Monte Carlo standard errors
 LENGLART_N_STEPS = 16  # Lenglart sweep: grid steps of each configuration's bundle
 
 
@@ -93,13 +100,6 @@ class _Tally:
             witnesses=tuple(self.witnesses),
             passed=self.failures == 0 if passed is None else passed, detail=detail,
         )
-
-
-def _require_gate(name: str, value: float) -> None:
-    """A ValueError naming ``name`` unless the gate is nonnegative and
-    finite: a NaN gate passed every trial and an infinite one none."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def summary_text(results: Sequence[PropertyResult]) -> str:
@@ -222,19 +222,14 @@ def check_jump_inequality(y, u, p):
     return lhs, rhs, ok
 
 
-def jump_inequality_suite(
-    n_samples: int = 1_000_000,
-    p_values: Sequence[float] = (1.1, 1.5, 1.9),
-    seed: int = 0,
-) -> PropertyResult:
-    """Uniform random sweep of the jump inequality over [-JUMP_BOX, JUMP_BOX]^2."""
+def jump_inequality_suite(n_samples: int = 1_000_000, seed: int = 0) -> PropertyResult:
+    """Uniform random sweep of the jump inequality over [-JUMP_BOX, JUMP_BOX]^2,
+    ``n_samples`` draws for each p in JUMP_P_VALUES."""
     _require_count("n_samples", n_samples, 1)
     _require_count("seed", seed, 0)
-    if not len(p_values):
-        raise ValueError("p_values must hold at least one exponent")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x11]))
     tally = _Tally()
-    for p in p_values:
+    for p in JUMP_P_VALUES:
         y = rng.uniform(-JUMP_BOX, JUMP_BOX, n_samples)
         u = rng.uniform(-JUMP_BOX, JUMP_BOX, n_samples)
         lhs, rhs, ok = check_jump_inequality(y, u, p)
@@ -297,15 +292,12 @@ def penalty_decay_suite(
     bundle: PathBundle,
     basis: RegressionBasis,
     schedule: PenalizationSchedule,
-    final_over_first_gate: float | None = None,
 ) -> PropertyResult:
     """Nonincreasing penalty errors along the schedule, within 2 joint MC
-    standard errors, with the last level strictly below the first.
-    ``final_over_first_gate`` optionally enforces a decay ratio."""
+    standard errors, with the last level strictly below the first and,
+    when the first is positive, at most DECAY_RATIO_GATE times it."""
     if len(schedule.n_values) < 3:
         raise ValueError("schedule needs at least 3 levels")
-    if final_over_first_gate is not None:
-        _require_gate("final_over_first_gate", final_over_first_gate)
     run = solve_reflected_penalization(
         spec, bundle, basis, replace(schedule, stop_tol=1e-300)
     )
@@ -321,10 +313,10 @@ def penalty_decay_suite(
     first, last = float(errs[0]), float(errs[-1])
     ok = tally.failures == 0 and (last < first or first == 0.0)
     detail = f"first={first:.3e} last={last:.3e}"
-    if final_over_first_gate is not None and first > 0.0:
+    if first > 0.0:
         ratio = last / first
         detail += f" ratio={ratio:.3e}"
-        ok = ok and ratio <= final_over_first_gate
+        ok = ok and ratio <= DECAY_RATIO_GATE
     if not ok and not tally.witnesses:  # a failed decay gate witnesses (first, last)
         tally.add(0, 1, witnesses=[(first, last)])
     return tally.result("penalty_decay", detail=detail)
@@ -373,16 +365,14 @@ def apriori_suite(
     spec: ProblemSpec,
     bundle: PathBundle,
     basis: RegressionBasis,
-    scaling_rtol: float = 0.05,
 ) -> PropertyResult:
     """Three checkable consequences of the a-priori stability bound, from
     penalized solves at level APRIORI_N_PENALTY: (i) every norm estimate
     is finite; (ii) scaling the data by each s in APRIORI_SCALES scales
-    every field by s^p within tolerance (exactly on the same bundle for
-    linear drivers); (iii) the solution-to-data norm ratio is stable
+    every field by s^p within relative tolerance APRIORI_SCALING_RTOL
+    (exactly on the same bundle for linear drivers); (iii) the solution-to-data norm ratio is stable
     under grid refinement N -> 2N (within a factor gate); a ratio that is
     not finite fails that trial."""
-    _require_gate("scaling_rtol", scaling_rtol)
     e = spec.exponents
     tally = _Tally()
 
@@ -400,9 +390,9 @@ def apriori_suite(
         denom = np.maximum(np.abs(expected), 1e-30)
         rel = np.abs(rep_s - expected) / denom
         active = expected > 1e-30
-        bad = active & (rel > scaling_rtol)
+        bad = active & (rel > APRIORI_SCALING_RTOL)
         tally.add(int(np.sum(active)), int(np.sum(bad)),
-                  float(np.max(np.where(active, rel - scaling_rtol, -np.inf))),
+                  float(np.max(np.where(active, rel - APRIORI_SCALING_RTOL, -np.inf))),
                   [(f"scale {s}", tuple(np.where(bad)[0].tolist()))] if bad.any() else [])
 
     # refinement stability of the bound's shape
@@ -487,24 +477,20 @@ def contraction_suite(
 
 
 def jump_estimator_crosscheck(
-    spec: ProblemSpec,
-    bundle: PathBundle,
-    basis: RegressionBasis,
-    n_penalty: float = 64.0,
-    se_gate: float = 2.0,
+    spec: ProblemSpec, bundle: PathBundle, basis: RegressionBasis
 ) -> PropertyResult:
     """Agreement between the two jump-response routes.
 
-    Solves the problem once with the shifted-continuation estimator and
-    once with the compensated-increment regression, and requires the
-    resulting values to agree within ``se_gate`` Monte Carlo standard
-    errors. Meaningful only when the driver consumes the jump argument;
-    otherwise the solves coincide and the check passes vacuously."""
-    _require_gate("se_gate", se_gate)
-    a = solve_penalized(spec, bundle, basis, n_penalty, u_estimator="shifted")
-    b = solve_penalized(spec, bundle, basis, n_penalty, u_estimator="compensated")
+    Solves the problem at level CROSSCHECK_N_PENALTY once with the
+    shifted-continuation estimator and once with the compensated-increment
+    regression, and requires the resulting values to agree within
+    CROSSCHECK_SE_GATE Monte Carlo standard errors. Meaningful only when
+    the driver consumes the jump argument; otherwise the solves coincide
+    and the check passes vacuously."""
+    a = solve_penalized(spec, bundle, basis, CROSSCHECK_N_PENALTY, u_estimator="shifted")
+    b = solve_penalized(spec, bundle, basis, CROSSCHECK_N_PENALTY, u_estimator="compensated")
     gap = abs(a.y0_mean() - b.y0_mean())
-    tol = se_gate * max(a.run.y0_stderr, b.run.y0_stderr, 1e-14)
+    tol = CROSSCHECK_SE_GATE * max(a.run.y0_stderr, b.run.y0_stderr, 1e-14)
     ok = gap <= tol
     tally = _Tally()
     tally.add(1, int(not ok), gap - tol, [] if ok else [(a.y0_mean(), b.y0_mean(), tol)])

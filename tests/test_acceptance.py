@@ -98,19 +98,18 @@ def test_05_comparison_monotonicity():
 
 
 def test_06_penalty_decay():
+    assert rb.verify.DECAY_RATIO_GATE == 0.05
     flat = rb.build_problem("flat_obstacle")
     flat_bundle = rb.sample_paths(flat, rb.build_grid(1.0, 100), 8, seed=7)
     res_flat = rb.penalty_decay_suite(
         flat, flat_bundle, BASIS0,
         rb.PenalizationSchedule.geometric(1.0, 11, 1e-3),
-        final_over_first_gate=0.05,
     )
     put = rb.build_problem("american_put")
     put_bundle = rb.sample_paths(put, rb.build_grid(1.0, 25), 10_000, seed=11)
     res_put = rb.penalty_decay_suite(
         put, put_bundle, rb.RegressionBasis(degree=3),
         rb.PenalizationSchedule.geometric(1.0, 11, 1e-12),
-        final_over_first_gate=0.05,
     )
     free = rb.build_problem("brownian_terminal")
     free_bundle = rb.sample_paths(free, rb.build_grid(1.0, 10), 2_000, seed=11)
@@ -126,8 +125,9 @@ def test_06_penalty_decay():
 
 
 def test_07_jump_inequality_million_samples():
+    assert rb.verify.JUMP_P_VALUES == (1.1, 1.5, 1.9)
     t0 = time.perf_counter()
-    res = rb.jump_inequality_suite(n_samples=1_000_000, p_values=(1.1, 1.5, 1.9), seed=0)
+    res = rb.jump_inequality_suite(n_samples=1_000_000, seed=0)
     elapsed = time.perf_counter() - t0
     _report(
         7, "pointwise jump inequality",

@@ -39,6 +39,9 @@ mode = reflected
 """
 
 
+SOLVE_MODES = ("penalized", "reflected", "oracle", "norms")
+
+
 def with_value(key: str, raw: str, text: str = CONFIG) -> str:
     """``text`` with the INI key ``section.key`` set to ``raw``."""
     cfg = configparser.ConfigParser()
@@ -285,7 +288,9 @@ class TestRunModes:
 
     # each used to print numpy's overflow warning before its error and, with
     # RuntimeWarning an error, to end in a traceback leaving only config.ini;
-    # the hint names the weights only where e^(beta A_T) itself overflows
+    # the hint names the weights only where e^(beta A_T) itself overflows.
+    # A strike of 1e308 overflows the z regressand y dB / dt in every mode,
+    # and the implicit step names the root that it leaves not finite
     @pytest.mark.parametrize("edits, cause", [
         ((("problem.name", "american_put"), ("problem.rate", "40")),
          "(the weights are finite; the values themselves leave float64)"),
@@ -293,7 +298,11 @@ class TestRunModes:
          "(a weight e^(c beta A) overflows float64 above c beta A = 709.78)"),
         ((("problem.name", "linear_y"), ("problem.xi", "1e300"), ("exponents.eps", "0.5")),
          "(the weights are finite; the values themselves leave float64)"),
-    ], ids=["put_rate_40", "put_rate_60", "linear_y_xi_1e300"])
+        *(((("problem.name", "american_put"), ("problem.kappa", "1e308"), ("run.mode", mode)),
+           "at step 9, path 0: the driver, continuation or obstacle is not finite in its bracket")
+          for mode in SOLVE_MODES),
+    ], ids=["put_rate_40", "put_rate_60", "linear_y_xi_1e300",
+            *(f"put_kappa_1e308_{mode}" for mode in SOLVE_MODES)])
     def test_overflow_with_warnings_as_errors_exits_1_by_name(self, tmp_path, capsys, edits, cause):
         text = CONFIG
         for k, r in (("grid.steps", "10"), ("mc.paths", "64"), ("mc.seed", "0"),

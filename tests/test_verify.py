@@ -152,7 +152,6 @@ class TestPenaltyDecaySuite:
         res = rb.penalty_decay_suite(
             flat_spec, flat_bundle_coarse, basis0,
             rb.PenalizationSchedule.geometric(1.0, 11, 1e-3),
-            final_over_first_gate=0.05,
         )
         assert res.passed, res.detail
 
@@ -168,7 +167,6 @@ class TestPenaltyDecaySuite:
         res = rb.penalty_decay_suite(
             put_spec, put_bundle_small, basis3,
             rb.PenalizationSchedule.geometric(1.0, 9, 1e-12),
-            final_over_first_gate=0.05,
         )
         assert res.passed, res.detail
 
@@ -300,7 +298,7 @@ class TestJumpEstimatorCrosscheck:
         assert res.passed, res.detail
 
     def test_jump_free_vacuous(self, flat_spec, flat_bundle_coarse, basis0):
-        res = rb.jump_estimator_crosscheck(flat_spec, flat_bundle_coarse, basis0, n_penalty=8.0)
+        res = rb.jump_estimator_crosscheck(flat_spec, flat_bundle_coarse, basis0)
         assert res.passed and res.worst_margin < 0.0
 
     def test_unknown_estimator_rejected(self, flat_spec, flat_bundle_coarse, basis0):
@@ -336,27 +334,30 @@ class TestContractionSuite:
 
 
 class TestFailingBranches:
-    """Each suite driven into failure through its own gate: the tally counts
-    the failures and keeps between one and MAX_WITNESSES witnesses."""
+    """Each suite driven into failure through its own gate, tightened on the
+    module: the tally counts the failures and keeps between one and
+    MAX_WITNESSES witnesses."""
 
     @pytest.mark.parametrize("case", ["penalty_decay", "apriori", "crosscheck", "contraction_nan"])
-    def test_failure_witnessed(self, case):
+    def test_failure_witnessed(self, case, monkeypatch):
         if case == "penalty_decay":
+            monkeypatch.setattr(rb.verify, "DECAY_RATIO_GATE", 1e-9)
             spec = rb.build_problem("flat_obstacle")
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 40), 4, seed=1)
             res = rb.penalty_decay_suite(
                 spec, bundle, rb.RegressionBasis(degree=0),
-                rb.PenalizationSchedule.geometric(1.0, 6, 1e-3), final_over_first_gate=1e-9,
+                rb.PenalizationSchedule.geometric(1.0, 6, 1e-3),
             )
         elif case == "apriori":
+            monkeypatch.setattr(rb.verify, "APRIORI_SCALING_RTOL", 1e-18)
             spec = rb.build_problem("american_put")
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 15), 1500, seed=2)
-            res = rb.apriori_suite(spec, bundle, rb.RegressionBasis(degree=3), scaling_rtol=1e-18)
+            res = rb.apriori_suite(spec, bundle, rb.RegressionBasis(degree=3))
         elif case == "crosscheck":
+            monkeypatch.setattr(rb.verify, "CROSSCHECK_SE_GATE", 1e-9)
             spec = rb.build_problem("linear_gamma")
             bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 1000, seed=4)
-            res = rb.jump_estimator_crosscheck(spec, bundle, rb.RegressionBasis(degree=3),
-                                               se_gate=1e-9)
+            res = rb.jump_estimator_crosscheck(spec, bundle, rb.RegressionBasis(degree=3))
         else:
             # beta * A_T ~ 2700 overflows the weights: picard_solve raises on
             # the first residual, and the suite records its message as the witness
@@ -371,30 +372,11 @@ class TestFailingBranches:
         if case == "contraction_nan":
             assert "at Picard iteration 1; largest beta*A_T" in res.witnesses[0][1]
 
-    # a NaN gate counted as a pass (apriori: passed with worst_margin=nan),
-    # and an infinite gate made its check vacuous
-    @pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
-    @pytest.mark.parametrize("gate", ["scaling_rtol", "se_gate", "final_over_first_gate"])
-    def test_bad_gate_named(self, gate, value, flat_spec, flat_bundle_coarse, basis0):
-        run = {
-            "scaling_rtol": lambda: rb.apriori_suite(flat_spec, flat_bundle_coarse, basis0,
-                                                     scaling_rtol=value),
-            "se_gate": lambda: rb.jump_estimator_crosscheck(flat_spec, flat_bundle_coarse, basis0,
-                                                            se_gate=value),
-            "final_over_first_gate": lambda: rb.penalty_decay_suite(
-                flat_spec, flat_bundle_coarse, basis0,
-                rb.PenalizationSchedule.geometric(1.0, 4, 1e-3), final_over_first_gate=value),
-        }[gate]
-        with pytest.raises(ValueError, match=rf"^{gate} must be nonnegative and finite"):
-            run()
-
     # each of these ran no trial: the empty ones passed with trials=0, and
     # n_samples=0 raised numpy's unnamed zero-size ValueError
-    @pytest.mark.parametrize("field", ["p_values", "n_samples", "n_pairs", "n_configs",
-                                       "beta_values"])
+    @pytest.mark.parametrize("field", ["n_samples", "n_pairs", "n_configs", "beta_values"])
     def test_zero_trials_named(self, field, flat_spec, flat_bundle_coarse, basis0):
         run = {
-            "p_values": lambda: rb.jump_inequality_suite(n_samples=10, p_values=()),
             "n_samples": lambda: rb.jump_inequality_suite(n_samples=0),
             "n_pairs": lambda: rb.comparison_suite(flat_spec, flat_bundle_coarse, basis0, n_pairs=[]),
             "n_configs": lambda: rb.lenglart_sweep(n_configs=0),

@@ -2,17 +2,21 @@
 
 Runs ``cli.run`` on the config of ``tests/test_acceptance.py::
 test_11_reproducibility_across_threads`` in the modes reflected, oracle,
-penalized and norms, in that order, and prints the sha256 of the
-concatenated ``reproducibility_view`` of each mode's CSVs, taken in file
-name order. Two trees that print the same digest write the same numbers
-(wall-clock columns aside). The value depends on the BLAS build, so it is
-compared between trees on one machine, not against a stored constant.
+penalized, norms and verify-all, in that order, and prints the sha256 of
+the concatenated ``reproducibility_view`` of each mode's CSVs, taken in
+file name order. The verify-all battery runs at the config's p and seed;
+its summary goes to stderr, so stdout holds the digest alone. Two trees
+that print the same digest write the same numbers (wall-clock columns
+aside). The value depends on the BLAS build, so it is compared between
+trees on one machine, not against a stored constant.
 
     PYTHONPATH=src python tools/csv_digest.py
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import sys
 import tempfile
 from pathlib import Path
 
@@ -47,7 +51,7 @@ stop_tol = 1e-9
 mode = reflected
 """
 
-MODES = ("reflected", "oracle", "penalized", "norms")
+MODES = ("reflected", "oracle", "penalized", "norms", "verify-all")
 
 
 def digest() -> str:
@@ -57,7 +61,8 @@ def digest() -> str:
         config.write_text(CONFIG)
         for mode in MODES:
             out = Path(tmp) / mode
-            code = cli.run(config, out_dir=out, mode_override=mode)
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli.run(config, out_dir=out, mode_override=mode)
             if code != cli.EXIT_OK:
                 raise SystemExit(f"mode {mode} exited with {code}")
             for path in sorted(out.glob("*.csv")):
