@@ -370,9 +370,9 @@ def apriori_suite(
     penalized solves at level APRIORI_N_PENALTY: (i) every norm estimate
     is finite; (ii) scaling the data by each s in APRIORI_SCALES scales
     every field by s^p within relative tolerance APRIORI_SCALING_RTOL
-    (exactly on the same bundle for linear drivers); (iii) the solution-to-data norm ratio is stable
-    under grid refinement N -> 2N (within a factor gate); a ratio that is
-    not finite fails that trial."""
+    (exactly on the same bundle for linear drivers); (iii) the
+    solution-to-data norm ratio is stable under grid refinement N -> 2N
+    (within a factor gate); a ratio that is not finite fails that trial."""
     e = spec.exponents
     tally = _Tally()
 
