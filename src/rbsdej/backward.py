@@ -22,6 +22,10 @@ from .simulate import PathBundle
 Array = np.ndarray
 
 BISECT_TOL = 1e-12
+# largest design condition number a one-shot fit solves by the normal
+# equations: up to it, one refinement step lands as close to the exact
+# least-squares solution as an SVD solve does
+ONE_SHOT_COND_MAX = 1e5
 # log of the largest float64, about 709.78: e^x overflows above it
 _LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
@@ -107,8 +111,9 @@ def _check_rank(rank: int, cols: int) -> None:
 
 
 def _factor_slice(states: Array, basis: RegressionBasis) -> _Slice:
-    """The slice with its factors, with the rank ``lstsq`` reads at
-    rcond=None: the singular values above eps·max(n, d+1)·s_max."""
+    """The slice with its factors, and the numerical rank of its design:
+    the singular values above eps·max(n, d+1)·s_max, the rank rule of a
+    rank-revealing least-squares solve at its default cutoff."""
     sl = _Slice.of(states, basis)
     if sl.degree == 0:
         return sl
@@ -116,6 +121,30 @@ def _factor_slice(states: Array, basis: RegressionBasis) -> _Slice:
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     _check_rank(int(np.sum(s > np.finfo(float).eps * max(design.shape) * s[0])), design.shape[1])
     return replace(sl, u=u, w=vt.T / s)
+
+
+def _normal_fit(design: Array, targets: Array) -> tuple[Array, Array] | None:
+    """(coefficients, column-major fitted values) from the normal equations
+    with one refinement step, or None when the Gram matrix is not positive
+    definite or the design's condition number exceeds ``ONE_SHOT_COND_MAX``.
+    The Gram matrix of a power design is the Hankel matrix of the power
+    sums m_0..m_2d; its Cholesky factor has the design's singular values."""
+    d = design.shape[1] - 1
+    sums = np.concatenate((design.sum(axis=0), design[:, d] @ design[:, 1:]))
+    try:
+        chol = np.linalg.cholesky(sums[np.add.outer(np.arange(d + 1), np.arange(d + 1))])
+    except np.linalg.LinAlgError:
+        return None
+    s = np.linalg.svd(chol, compute_uv=False)
+    if not s[0] <= ONE_SHOT_COND_MAX * s[-1]:
+        return None
+    inv = np.linalg.inv(chol)
+    gram_inv = inv.T @ inv
+    coeffs = gram_inv @ (design.T @ targets)
+    resid = (coeffs.T @ design.T).T
+    np.subtract(targets, resid, out=resid)  # Y - D c, refined on: c += G⁻¹ Dᵀ (Y - D c)
+    coeffs += gram_inv @ (design.T @ resid)
+    return coeffs, (coeffs.T @ design.T).T
 
 
 def _fit_slice(
@@ -128,25 +157,29 @@ def _fit_slice(
     ``targets`` is (n,) or (n, k); the coefficients are (d+1,) or
     (d+1, k) to match, and the fitted values at ``states`` come back in
     the shape of ``targets``. Without a factor store ``fits`` the solve is
-    one ``lstsq``; with one, the slice is factored once under ``key`` and
-    every later fit on the same states reuses its factors.
+    one shot: the normal equations from the power sums with one
+    refinement step (``_normal_fit``) when the design's condition number
+    is at most ``ONE_SHOT_COND_MAX``, the slice's thin SVD
+    (``_factor_slice``), not kept, otherwise. With one, the slice is
+    factored once under ``key`` and every later fit on the same states
+    reuses its factors.
     """
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if fits is None:
         sl = _Slice.of(states, basis)
         if sl.degree:
-            design = sl.design(states)
-            coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-            _check_rank(rank, design.shape[1])
-            return sl, coeffs, design @ coeffs
+            fit = _normal_fit(sl.design(states), targets)
+            if fit is not None:
+                return (sl, *fit)
+            sl = _factor_slice(states, basis)
     else:
         if key not in fits:
             fits[key] = _factor_slice(states, basis)
         sl = fits[key]
-        if sl.degree:
-            g = sl.u.T @ targets
-            return sl, sl.w @ g, sl.u @ g
+    if sl.degree:
+        g = sl.u.T @ targets
+        return sl, sl.w @ g, sl.u @ g
     coeffs = np.zeros((basis.degree + 1,) + targets.shape[1:])
     coeffs[0] = np.mean(targets, axis=0)
     return sl, coeffs, np.broadcast_to(coeffs[0], targets.shape).copy()
@@ -276,12 +309,15 @@ def _solve_implicit_step(
             f"implicit step unstable at step {step_index}, {where}: "
             f"driver slope {float(np.broadcast_to(b, bad.shape)[at])!r} too large for dt={dt!r}"
         )
-    y_free = f_at_0 * dt
-    y_free += c  # c + f(0) dt
-    y = np.multiply(L, pen_rate, out=np.empty_like(c))
-    y += y_free
-    y /= denom_pen  # y_pen = (c + f(0) dt + n dt L) / (1 - b dt + n dt)
-    y_free /= denom_free
+    # a root past float64 is not warned: it fails the checks below and
+    # goes to the bisection, which names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_free = f_at_0 * dt
+        y_free += c  # c + f(0) dt
+        y = np.multiply(L, pen_rate, out=np.empty_like(c))
+        y += y_free
+        y /= denom_pen  # y_pen = (c + f(0) dt + n dt L) / (1 - b dt + n dt)
+        y_free /= denom_free
     # monotone one-branch consistency; ties land on the obstacle
     tie = (y_free < L) & (y > L)
     np.copyto(y, y_free, where=y_free >= L)

@@ -54,7 +54,8 @@ def _mc(per_path: Array) -> tuple[float, float]:
     per_path = np.asarray(per_path, dtype=float)
     n = per_path.size
     mean = float(np.mean(per_path))
-    se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller judges a non-finite error
+        se = float(np.std(per_path, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return mean, se
 
 

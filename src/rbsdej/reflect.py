@@ -134,10 +134,12 @@ class _LevelSums:
             self.sup, self.k_T, self.flat = short, np.zeros_like(short), np.zeros_like(short)
         else:  # in place: a fresh (n, K) block per node fragments the heap and raises peak RSS
             np.maximum(self.sup, short, out=self.sup)
-            self.k_T += dk_i
-            clearance = y_i - L_i[:, None]
-            clearance *= dk_i
-            self.flat += clearance
+            # a sum past float64 is not warned: the level's row judges it
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.k_T += dk_i
+                clearance = y_i - L_i[:, None]
+                clearance *= dk_i
+                self.flat += clearance
             self.y0, self.y0_stderr = y_i, y0_stderr
 
     def row(self, k: int, n: float, wall_time: float) -> PenaltyLevelRow:

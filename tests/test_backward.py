@@ -94,14 +94,56 @@ def _reference_sweep(spec, bundle, basis, n_penalty, u_estimator):
     return y, z, u
 
 
+def _lognormal_slice():
+    """2000 lognormal(0, 0.3) states and four targets on them."""
+    rng = np.random.default_rng(3)
+    states = rng.lognormal(0.0, 0.3, 2000)
+    targets = np.column_stack([
+        np.maximum(1.1 - states, 0.0), np.sin(3.0 * states),
+        states**3 + rng.standard_normal(2000), rng.standard_normal(2000),
+    ])
+    return states, targets
+
+
+def _counted_factors(monkeypatch):
+    calls = []
+    factor = rb.backward._factor_slice
+    monkeypatch.setattr(rb.backward, "_factor_slice", lambda *a: calls.append(1) or factor(*a))
+    return calls
+
+
 class TestSliceFit:
+    @pytest.mark.parametrize("degree, cond, factored, fit_tol", [
+        (4, (1e3, 2e3), 0, 1e-12),
+        # at cond 1.9e6 the SVD's fitted values and lstsq's both sit 3-6e-12
+        # from the projection taken in 50-digit arithmetic, so they are
+        # compared at 1e-11
+        (8, (1.8e6, 2e6), 1, 1e-11),
+    ])
+    def test_one_shot_fit_matches_lstsq(self, monkeypatch, degree, cond, factored, fit_tol):
+        # the normal equations up to ONE_SHOT_COND_MAX, the SVD past it
+        states, targets = _lognormal_slice()
+        basis = rb.RegressionBasis(degree=degree)
+        design = rb.backward._Slice.of(states, basis).design(states)
+        assert cond[0] < np.linalg.cond(design) < cond[1]
+        calls = _counted_factors(monkeypatch)
+        _, fit_coeffs, fitted = rb.backward._fit_slice(states, targets, basis)
+        assert len(calls) == factored
+        coeffs = np.linalg.lstsq(design, targets, rcond=None)[0]
+        for k in range(4):
+            assert np.max(np.abs(fit_coeffs[:, k] - coeffs[:, k])) <= 1e-12 * (1.0 + np.max(np.abs(coeffs[:, k])))
+            assert np.max(np.abs(fitted[:, k] - design @ coeffs[:, k])) <= fit_tol
+        if factored:  # the stored-factor route's numbers
+            _, stored_coeffs, stored = rb.backward._fit_slice(states, targets, basis, {}, 0)
+            assert np.array_equal(fit_coeffs, stored_coeffs) and np.array_equal(fitted, stored)
+
+    def test_one_shot_fit_is_column_major(self):
+        states, targets = _lognormal_slice()
+        fitted = rb.backward._fit_slice(states, targets, rb.RegressionBasis(degree=4))[2]
+        assert fitted.flags.f_contiguous and fitted.shape == targets.shape
+
     def test_multi_target_matches_one_fit_per_target(self):
-        rng = np.random.default_rng(3)
-        states = rng.lognormal(0.0, 0.3, 2000)
-        targets = np.column_stack([
-            np.maximum(1.1 - states, 0.0), np.sin(3.0 * states),
-            states**3 + rng.standard_normal(2000), rng.standard_normal(2000),
-        ])
+        states, targets = _lognormal_slice()
         basis = rb.RegressionBasis(degree=4)
 
         def assert_matches_one_shot(sl, fit_coeffs, fitted, targets):

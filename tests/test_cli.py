@@ -321,6 +321,50 @@ class TestRunModes:
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert manifest[-1] == f"error {err[0][len('error: '):]}"
 
+    # an overflow in the closed-form step (n dt L), in the level's running
+    # sums (clearance * dK) or in a standard error (np.std) used to end in a
+    # traceback under warnings-as-errors; each run now ends as it does
+    # without the flag, by the later check that judges the value
+    EXTREMES = {
+        "horizon_100_kappa_1e308": (("grid.horizon", "100"), ("problem.kappa", "1e308")),
+        "n0_1e300_kappa_1e308": (("schedule.n0", "1e300"), ("problem.kappa", "1e308")),
+        "n0_1e300_sigma_1000": (("schedule.n0", "1e300"), ("problem.sigma", "1000")),
+        "horizon_100_x0_1e300": (("grid.horizon", "100"), ("problem.x0", "1e300")),
+    }
+
+    @pytest.mark.parametrize("mode", SOLVE_MODES)
+    @pytest.mark.parametrize("extreme", list(EXTREMES))
+    def test_extreme_pair_ends_by_name_with_warnings_as_errors(self, tmp_path, capsys, extreme, mode):
+        text = CONFIG
+        for k, r in (("problem.name", "american_put"), ("grid.steps", "10"), ("mc.paths", "64"),
+                     ("mc.seed", "0"), ("basis.degree", "2"), ("exponents.eps", "0.01"),
+                     ("schedule.levels", "4"), ("run.mode", mode)) + self.EXTREMES[extreme]:
+            text = with_value(k, r, text)
+        f = tmp_path / "extreme.ini"
+        f.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.run(f, out_dir=out)
+        err = capsys.readouterr().err.splitlines()
+        if extreme == "n0_1e300_sigma_1000":
+            assert code == cli.EXIT_OK and not err
+            for table in out.glob("*.csv"):
+                rows = list(csv.reader(table.read_text().splitlines()))
+                assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row), table.name
+            return
+        if "kappa" in extreme:
+            start = ("no finite root of the implicit step at step 9, path 0: the driver, "
+                     "continuation or obstacle is not finite in its bracket")
+        elif mode in ("penalized", "reflected"):
+            start = "penalty error inf at level n=1.0; "
+        else:
+            start = "s_p_beta inf, "
+        assert code == cli.EXIT_SUITE_FAILURE
+        assert len(err) == 1 and err[0].startswith(f"error: {start}"), err
+        assert not list(out.glob("*.csv"))
+        assert (out / "manifest.txt").read_text().splitlines()[-1] == f"error {err[0][len('error: '):]}"
+
     # both used to end in an uncaught RegressionRankError, leaving only config.ini
     @pytest.mark.parametrize("edits, message", [
         ((("problem.name", "american_put"), ("mc.paths", "2"), ("basis.degree", "3"),
