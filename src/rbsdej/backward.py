@@ -136,13 +136,13 @@ def _normal_fit(design: Array, targets: Array) -> tuple[Array, Array] | None:
     except np.linalg.LinAlgError:
         return None
     s = np.linalg.svd(chol, compute_uv=False)
-    if not s[0] <= ONE_SHOT_COND_MAX * s[-1]:
+    if not s[0] <= ONE_SHOT_COND_MAX * s[-1]:  # a NaN goes to the SVD too
         return None
     inv = np.linalg.inv(chol)
     gram_inv = inv.T @ inv
     coeffs = gram_inv @ (design.T @ targets)
     resid = (coeffs.T @ design.T).T
-    np.subtract(targets, resid, out=resid)  # Y - D c, refined on: c += G⁻¹ Dᵀ (Y - D c)
+    np.subtract(targets, resid, out=resid)  # the residual Y - D c
     coeffs += gram_inv @ (design.T @ resid)
     return coeffs, (coeffs.T @ design.T).T
 

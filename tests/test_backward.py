@@ -106,9 +106,14 @@ def _lognormal_slice():
 
 
 def _counted_factors(monkeypatch):
-    calls = []
-    factor = rb.backward._factor_slice
-    monkeypatch.setattr(rb.backward, "_factor_slice", lambda *a: calls.append(1) or factor(*a))
+    """The list that every later ``_factor_slice`` call appends its states to."""
+    calls, factor = [], rb.backward._factor_slice
+
+    def counted(states, basis):
+        calls.append(states)
+        return factor(states, basis)
+
+    monkeypatch.setattr(rb.backward, "_factor_slice", counted)
     return calls
 
 
