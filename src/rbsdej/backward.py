@@ -155,12 +155,12 @@ def _fit_slice(
     slice's standardized power basis: (slice, coefficients, fitted values).
 
     ``targets`` is (n,) or (n, k); the coefficients are (d+1,) or
-    (d+1, k) to match, and the fitted values at ``states`` come back in
-    the shape of ``targets``. Without a factor store ``fits`` the solve is
-    one shot: the normal equations from the power sums with one
-    refinement step (``_normal_fit``) when the design's condition number
-    is at most ``ONE_SHOT_COND_MAX``, the slice's thin SVD
-    (``_factor_slice``), not kept, otherwise. With one, the slice is
+    (d+1, k) to match, and the fitted values at ``states`` come back
+    column-major in the shape of ``targets``. Without a factor store
+    ``fits`` the solve is one shot: the normal equations from the power
+    sums with one refinement step (``_normal_fit``) when the design's
+    condition number is at most ``ONE_SHOT_COND_MAX``, the slice's thin
+    SVD (``_factor_slice``), not kept, otherwise. With one, the slice is
     factored once under ``key`` and every later fit on the same states
     reuses its factors.
     """
@@ -179,10 +179,10 @@ def _fit_slice(
         sl = fits[key]
     if sl.degree:
         g = sl.u.T @ targets
-        return sl, sl.w @ g, sl.u @ g
+        return sl, sl.w @ g, (g.T @ sl.u.T).T
     coeffs = np.zeros((basis.degree + 1,) + targets.shape[1:])
     coeffs[0] = np.mean(targets, axis=0)
-    return sl, coeffs, np.broadcast_to(coeffs[0], targets.shape).copy()
+    return sl, coeffs, np.broadcast_to(coeffs[0], targets.shape).copy(order="F")
 
 
 @dataclass(frozen=True)
@@ -318,10 +318,12 @@ def _solve_implicit_step(
         y += y_free
         y /= denom_pen  # y_pen = (c + f(0) dt + n dt L) / (1 - b dt + n dt)
         y_free /= denom_free
-    # monotone one-branch consistency; ties land on the obstacle
-    tie = (y_free < L) & (y > L)
+    # monotone one-branch consistency: y_free where it clears the obstacle,
+    # else y_pen, which lands on the obstacle where it would cross it; on a
+    # tie np.minimum returns its second argument, so y_pen keeps its sign
+    # of zero, and a NaN y_pen stays NaN
+    np.minimum(L, y, out=y)
     np.copyto(y, y_free, where=y_free >= L)
-    np.copyto(y, np.broadcast_to(L, y.shape), where=tie)
     if affine is not None:
         # exact for an affine driver; a non-finite root goes to the
         # bisection, which names its step and path
@@ -426,7 +428,11 @@ def _backward(
     A (K,) array of levels sweeps K equations at once: each slice fits
     all their targets in one solve, the step sees (n, K) blocks with L_i
     as (n, 1), and the driver their column-major flattening, with x tiled
-    to match. Grids are kept for the last column only. ``frozen_zu`` feeds
+    to match. Grids are kept for the last column only. A driver that
+    declares it reads neither z nor u (an ``AffineDriver`` without an
+    offset) gets f(0) = 0 and no (z, u): the z regressand and the jump
+    responses are then fitted and evaluated for the last column alone, so
+    a slice solves K + 1 columns, not 2K. ``frozen_zu`` feeds
     the driver a previous iterate's (z, u) instead of the pass's own; the
     run record is a one-pass solve's (one iterate, residual 0), which
     ``picard_solve`` overwrites. ``observe(i, y_i, L_i, dK_i, y0_stderr)``
@@ -461,40 +467,46 @@ def _backward(
     y_next = np.tile(y[:, N], (K, 1)).T  # (n, K), column-major
     y0_stderr = None
     observe(N, y_next, L_nodes[:, N], None, y0_stderr)
-    rhs = np.empty((n_paths, K * (2 + (m if u_estimator == "compensated" else 0))), order="F")
+    zu_free = isinstance(spec.driver, AffineDriver) and spec.driver.offset is None
+    kz = 1 if zu_free else K  # the columns whose (z_i, u_i) are fitted and evaluated
+    compensated = u_estimator == "compensated"
+    rhs = np.empty((n_paths, K + kz * (1 + (m if compensated else 0))), order="F")
 
     for i in range(N - 1, -1, -1):
         t = float(grid.nodes[i])
         dt = float(steps[i])
         xi, L_i = X[:, i], L_nodes[:, i]
         dB = bundle.brownian_increments[:, i, None]
-        # targets of the slice, fitted in one solve, K columns each: the
-        # continuation, the z regressand and, compensated, one jump
-        # regressand per mark. A target or fit past float64 is not warned:
-        # the implicit step, or the CLI's norm report, names it
+        y_kept = y_next[:, K - kz:]
+        # targets of the slice, fitted in one solve: K continuation columns,
+        # then kz columns each of the z regressand and, compensated, of one
+        # jump regressand per mark. A target or fit past float64 is not
+        # warned: the implicit step, or the CLI's norm report, names it
         with np.errstate(over="ignore", invalid="ignore"):
             rhs[:, :K] = y_next
-            rhs[:, K:2 * K] = y_next * dB / dt
-            if u_estimator == "compensated":
+            rhs[:, K:K + kz] = y_kept * dB / dt
+            if compensated:
                 for j in range(m):
                     comp = bundle.jump_counts[:, i, j] - lam[j] * dt
-                    rhs[:, (2 + j) * K:(3 + j) * K] = y_next * comp[:, None] / (lam[j] * dt)
+                    rhs[:, K + (1 + j) * kz:K + (2 + j) * kz] = y_kept * comp[:, None] / (lam[j] * dt)
             try:
                 sl, coeffs, fitted = _fit_slice(xi, rhs, basis, fits, i)
             except RegressionRankError as exc:
                 raise RegressionRankError(f"step {i}: {exc}") from exc
-        c, z_i = np.asfortranarray(fitted[:, :K]), np.asfortranarray(fitted[:, K:2 * K])
-        if u_estimator == "shifted":
-            u_i = np.empty((n_paths, K, m), order="F")
+        c, z_i = fitted[:, :K], fitted[:, K:K + kz]  # column-major views
+        if compensated:
+            u_i = fitted[:, K + kz:].reshape(n_paths, m, kz).transpose(0, 2, 1)
+        else:
+            u_i = np.empty((n_paths, kz, m), order="F")
             for j in range(m):
                 shifted = xi + np.asarray(
                     spec.forward.jump_size(t, xi, float(marks[j])), dtype=float
                 )
-                u_i[:, :, j] = sl.at(shifted, coeffs[:, :K]) - c
-        else:
-            u_i = fitted[:, 2 * K:].reshape(n_paths, m, K).transpose(0, 2, 1)
+                u_i[:, :, j] = sl.at(shifted, coeffs[:, K - kz:K]) - c[:, K - kz:]
 
-        if frozen_zu is not None:
+        if zu_free:
+            zd = ud = None
+        elif frozen_zu is not None:
             zd, ud = np.tile(frozen_zu[0][:, i], K), np.tile(frozen_zu[1][:, i, :], (K, 1))
         else:
             zd, ud = z_i.ravel("F"), u_i.reshape((n_paths * K, m), order="F")
@@ -505,7 +517,8 @@ def _backward(
 
         affine = None
         if isinstance(spec.driver, AffineDriver):
-            f_at_0 = _shaped(spec.driver.offset(t, xd, zd, ud), xd).reshape(c.shape, order="F")
+            f_at_0 = (np.zeros(c.shape, order="F") if zu_free else
+                      _shaped(spec.driver.offset(t, xd, zd, ud), xd).reshape(c.shape, order="F"))
             affine = (_shaped(spec.driver.slope(t, xi), xi)[:, None], f_at_0)
         L_col = L_i[:, None]
         if n_penalty is None:
@@ -565,11 +578,12 @@ def picard_solve(
     one-pass solution is the exact fixed point of this map, so the
     residuals (weighted distances between successive iterates: y in the
     dA-norm, z and u in their energy norms) measure convergence towards
-    it. A driver that ignores (z, u) is detected up front and returns the
-    single pass with residual history (0.0,). Three consecutive
-    non-decreasing residuals raise a non-contraction warning into the run
-    record; a residual that is not finite (overflowing weights) raises
-    SolverError naming the iteration and the largest beta*A_T.
+    it. A driver that ignores (z, u), declared or probed
+    (``driver_uses_zu``), returns the single pass with residual history
+    (0.0,). Three consecutive non-decreasing residuals raise a
+    non-contraction warning into the run record; a residual that is not
+    finite (overflowing weights) raises SolverError naming the iteration
+    and the largest beta*A_T.
 
     The iterates share one sampled obstacle and one factorization of each
     regression slice; the distance reads both iterates one node column at

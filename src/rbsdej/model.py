@@ -226,14 +226,18 @@ class AffineDriver:
     The slope is the driver's monotonicity rate, met with equality; the
     implicit step reads it and f(0) = offset directly instead of probing
     the driver. ``offset`` may return its own ``z`` or ``u`` argument:
-    the solver never writes into its result.
+    the solver never writes into its result. ``offset`` None declares a
+    driver linear in y that reads neither z nor u, f(0) = 0: the driver
+    is not probed for (z, u), and a swept penalty schedule fits z and
+    evaluates u for its kept column only.
     """
 
     slope: CoeffFn
-    offset: Callable[[float, Array, Array, Array], object]
+    offset: Callable[[float, Array, Array, Array], object] | None = None
 
     def __call__(self, t: float, x: Array, y: Array, z: Array, u: Array) -> Array:
-        return self.slope(t, x) * np.asarray(y, dtype=float) + self.offset(t, x, z, u)
+        offset = np.zeros(np.shape(x)) if self.offset is None else self.offset(t, x, z, u)
+        return self.slope(t, x) * np.asarray(y, dtype=float) + offset
 
 
 @dataclass(frozen=True)
@@ -273,9 +277,12 @@ class ProblemSpec:
 
 
 def driver_uses_zu(spec: ProblemSpec) -> bool:
-    """Probe whether the driver reacts to its (z, u) arguments at 8 fixed
-    random states, at each of 9 times evenly spaced over [0, T]; a
-    difference that is not finite counts as a reaction."""
+    """Whether the driver reacts to its (z, u) arguments: False for an
+    ``AffineDriver`` without an offset, which declares it; otherwise a
+    probe at 8 fixed random states, at each of 9 times evenly spaced over
+    [0, T], in which a difference that is not finite counts as a reaction."""
+    if isinstance(spec.driver, AffineDriver) and spec.driver.offset is None:
+        return False
     n_probe = 8
     rng = np.random.default_rng(np.random.SeedSequence([0, 0x2D]))
     x0 = spec.forward.x0

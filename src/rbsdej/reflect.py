@@ -100,11 +100,13 @@ class ReflectedRun:
 
 def _weighted_shortfall(A: Array, L: Array, y: Array, beta: float) -> Array:
     """e^{beta A / 2} (L - y)^+ elementwise (broadcast); zero where y >= L,
-    also where the weight alone overflows."""
+    also where the weight alone overflows. A product past float64 is not
+    warned: it reads inf, and the penalty error that takes it names it."""
     short = np.maximum(L - y, 0.0)
     (w,) = _weights(A, beta, 0.5)
     # inf * 0 would read as NaN: an overflowed weight counts only on a shortfall
-    return np.multiply(w, short, out=short, where=short != 0.0 if np.isinf(w).any() else True)
+    with np.errstate(over="ignore"):
+        return np.multiply(w, short, out=short, where=short != 0.0 if np.isinf(w).any() else True)
 
 
 def _penalty_moment(sup: Array, where: str, spec: ProblemSpec,
@@ -214,14 +216,16 @@ def skorokhod_report(
     sol: BackwardSolution, spec: ProblemSpec, bundle: PathBundle
 ) -> SkorokhodReport:
     """Evaluate the flat-off diagnostics on a solved grid solution, one
-    node column at a time."""
+    node column at a time. A flat integral past float64 is not warned:
+    the report carries it as inf or NaN."""
     L, k_cum = sol.obstacle, sol.k_cum
     n, N = L.shape[0], L.shape[1] - 1
     tol_k = 1e-10 * (1.0 + float(np.max(k_cum[:, -1], initial=0.0)))
     flat, viol = np.zeros(n), 0
     for i in range(N):
         clearance, dKc = sol.y[:, i] - L[:, i], k_cum[:, i + 1] - k_cum[:, i]
-        flat += clearance * dKc
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat += clearance * dKc
         tol_y = EQUALITY_RTOL * (1.0 + np.abs(L[:, i]))
         viol += np.count_nonzero((dKc > tol_k) & (clearance > tol_y))
     flat = float(np.mean(flat))

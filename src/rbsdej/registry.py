@@ -43,10 +43,6 @@ def _coeffs(alpha=0.0, eta=0.0, delta=0.0, phi=0.05, varphi=1.0) -> CoefficientS
     )
 
 
-def _zero(t, x, z, u):
-    return np.zeros(np.shape(x))
-
-
 def _mark_jump(t, x, e):
     return np.full(np.shape(x), e) if np.ndim(x) else e
 
@@ -55,12 +51,12 @@ def _problem(
     T: float, p: float, beta: float | None, eps: float, *, coeffs: CoefficientSpec,
     marks: MarkSpace = MarkSpace.empty(), x0: float = 0.0, drift=_const(0.0), vol=_const(0.0),
     jump_size=lambda t, x, e: np.zeros(np.shape(x)),
-    offset=_zero,
+    offset=None,
     terminal=lambda x: np.asarray(x, dtype=float),
     obstacle=_const(NEVER_BINDING),
 ) -> ProblemSpec:
     """A registry problem from the pieces in which it differs from the
-    shared defaults: a still forward at 0, a zero driver offset, terminal
+    shared defaults: a still forward at 0, no driver offset, terminal
     X_T and a never-binding obstacle. The driver's slope in y is the rate
     ``coeffs.alpha``. Every registry obstacle is constant in time before
     the horizon, so its left limit at T is its value at t = 0."""

@@ -147,6 +147,13 @@ class TestSliceFit:
         fitted = rb.backward._fit_slice(states, targets, rb.RegressionBasis(degree=4))[2]
         assert fitted.flags.f_contiguous and fitted.shape == targets.shape
 
+    @pytest.mark.parametrize("degree", [0, 4])
+    def test_factored_fit_is_column_major(self, degree):
+        # the sweep reads its continuation and z columns as views of these
+        states, targets = _lognormal_slice()
+        fitted = rb.backward._fit_slice(states, targets, rb.RegressionBasis(degree=degree), {}, 0)[2]
+        assert fitted.flags.f_contiguous and fitted.shape == targets.shape
+
     def test_multi_target_matches_one_fit_per_target(self):
         states, targets = _lognormal_slice()
         basis = rb.RegressionBasis(degree=4)
@@ -390,6 +397,29 @@ class TestImplicitStep:
         assert len(calls) > 8
         assert np.max(np.abs(bisected[:-1] - closed)) <= 2.0 * _root_width(bisected)
 
+    def test_tail_gives_the_six_pass_bits(self):
+        # (n, 3) blocks at levels 0, 1 and 1e300 with ties c == L, signed
+        # zeros, values near 1e300 and an underflow of y_pen to -0.0
+        # (c = -5e-324 at n = 1e300); a block whose closed form is not
+        # finite goes to the bisection and is not compared
+        dt, levels = 0.1, np.array([0.0, 1.0, 1e300])
+        compared = 0
+        for L in (0.0, -0.0, 1.0, -1.0, 1e300):
+            c_rows = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300, 0.9e300, 5e-324, -5e-324, L])
+            c = np.asfortranarray(np.tile(c_rows[:, None], (1, 3)))
+            L_col = np.full((c_rows.size, 1), L)
+            for slope in (0.0, -1.0):
+                for f in (0.0, -0.0, 2.0):
+                    b, f0 = np.full((c_rows.size, 1), slope), np.full(c.shape, f, order="F")
+                    want = _six_pass_tail_step(c, L_col, dt, levels, b, f0)
+                    if not np.isfinite(want).all():
+                        continue
+                    got = rb.backward._solve_implicit_step(lambda y: b * y + f0, c, L_col, dt,
+                                                           levels, 0, (b, f0))
+                    assert got.tobytes() == want.tobytes(), (L, slope, f)
+                    compared += 1
+        assert compared >= 20
+
     def test_nan_inside_the_bracket_named(self):
         # the driver is finite at the probes and the bracket ends but NaN
         # near path 1's root (about 0.5065); a NaN midpoint moved the
@@ -408,6 +438,21 @@ class TestImplicitStep:
         with pytest.raises(rb.SolverError, match=r"step 4, path 0: driver slope"):
             rb.backward._solve_implicit_step(lambda y: 30.0 * np.tanh(y), np.zeros(3),
                                              np.full(3, -10.0), 0.1, 0.0, 4)
+
+
+def _six_pass_tail_step(c, L, dt, n, b, f0):
+    """The affine closed form of the implicit step with its earlier tail:
+    the tie mask and two copies."""
+    pen_rate = n * dt
+    denom_free = 1.0 - b * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_free = f0 * dt + c
+        y = (L * pen_rate + y_free) / (denom_free + pen_rate)
+        y_free = y_free / denom_free
+    tie = (y_free < L) & (y > L)
+    np.copyto(y, y_free, where=y_free >= L)
+    np.copyto(y, np.broadcast_to(L, y.shape), where=tie)
+    return y
 
 
 def _constant(v):
@@ -506,6 +551,80 @@ class TestAffineDriver:
             normalized = rb.normalize_driver(spec)[0]
         for derived in (rb.scale_problem_data(spec, 2.0), normalized):
             assert not isinstance(derived.driver, rb.AffineDriver)
+
+
+def _zero_offset(t, x, z, u):
+    return np.zeros(np.shape(x))
+
+
+class TestKeptColumn:
+    """A driver without an offset reads neither z nor u, so a swept
+    schedule fits z and evaluates u for its kept column only; the same
+    driver with a zero offset takes the all-columns route."""
+
+    @pytest.mark.parametrize("name", ["american_put_jumps", "flat_obstacle"])
+    def test_schedule_gives_the_all_columns_bits(self, name):
+        spec = rb.build_problem(name)
+        assert spec.driver.offset is None
+        every = replace(spec, driver=rb.AffineDriver(spec.driver.slope, _zero_offset))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 400, seed=5)
+        basis = rb.RegressionBasis(degree=3)
+        schedule = rb.PenalizationSchedule.geometric(1.0, 6, 1e-12)
+        kept, all_columns = (rb.solve_reflected_penalization(s, bundle, basis, schedule)
+                             for s in (spec, every))
+        for field in ("y", "z", "u", "k_cum", "k_jump_T"):
+            a, b = (getattr(run.solution, field) for run in (kept, all_columns))
+            assert a.tobytes() == b.tobytes(), field
+        assert [replace(row, wall_time=0.0) for row in kept.table] == \
+               [replace(row, wall_time=0.0) for row in all_columns.table]
+        assert kept.skorokhod == all_columns.skorokhod
+
+    def test_compensated_sweep_gives_the_all_columns_bits(self):
+        spec = rb.build_problem("american_put_jumps")
+        every = replace(spec, driver=rb.AffineDriver(spec.driver.slope, _zero_offset))
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 400, seed=5)
+        levels = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        kept, all_columns = (rb.backward._backward(s, bundle, rb.RegressionBasis(degree=2), levels,
+                                                   u_estimator="compensated")
+                             for s in (spec, every))
+        _assert_same_bits(kept, all_columns)
+
+    def test_fits_and_evaluates_one_kept_column(self, monkeypatch):
+        spec = rb.build_problem("american_put_jumps")
+        bundle = rb.sample_paths(spec, rb.build_grid(1.0, 10), 400, seed=5)
+        fit_columns, at_columns = [], []
+        fit, at = rb.backward._fit_slice, rb.backward._Slice.at
+
+        def fit_spy(states, targets, *args):
+            fit_columns.append(targets.shape[1])
+            return fit(states, targets, *args)
+
+        def at_spy(self, x, coeffs):
+            at_columns.append(coeffs.shape[1])
+            return at(self, x, coeffs)
+
+        monkeypatch.setattr(rb.backward, "_fit_slice", fit_spy)
+        monkeypatch.setattr(rb.backward._Slice, "at", at_spy)
+        schedule = rb.PenalizationSchedule.geometric(1.0, 11, 1e-12)
+        rb.solve_reflected_penalization(spec, bundle, rb.RegressionBasis(degree=3), schedule)
+        # chunks of 1, 2, 4 and 4 levels over 10 steps: K + 1 columns per
+        # slice, and one evaluation per mark and step
+        assert fit_columns == [2] * 10 + [3] * 10 + [5] * 10 + [5] * 10
+        assert at_columns == [1] * (4 * 10 * spec.marks.m)
+
+    def test_driver_uses_zu_calls_no_driver_function(self):
+        def slope(t, x):
+            raise AssertionError("the driver was probed")
+
+        spec = replace(rb.build_problem("flat_obstacle"), driver=rb.AffineDriver(slope))
+        assert not rb.model.driver_uses_zu(spec)
+
+    def test_evaluates_slope_times_y_plus_zeros(self):
+        x, y = np.zeros(4), np.array([1.0, -2.0, 0.0, -0.0])
+        for slope in (_constant(-0.5), _constant(0.0)):
+            got = rb.AffineDriver(slope)(0.0, x, y, None, None)
+            want = rb.AffineDriver(slope, _zero_offset)(0.0, x, y, np.zeros(4), np.zeros((4, 2)))
+            assert got.tobytes() == want.tobytes()
 
 
 def _solve_scheme(scheme):

@@ -365,6 +365,43 @@ class TestRunModes:
         assert not list(out.glob("*.csv"))
         assert (out / "manifest.txt").read_text().splitlines()[-1] == f"error {err[0][len('error: '):]}"
 
+    # an obstacle at 1e300 overflows the weighted shortfall e^(beta A / 2)
+    # (L - y)^+ or, at p near 1, the Skorokhod flat integral (y - L) dK;
+    # each used to end in a traceback under warnings-as-errors and now ends
+    # with the exit code and error line of the run without the flag
+    LEVEL_1E300 = {
+        **{f"beta_1e3_{mode}": ((("exponents.beta", "1e3"),), mode)
+           for mode in ("reflected", "penalized", "norms")},
+        **{f"horizon_50_{mode}": ((("grid.horizon", "50"),), mode)
+           for mode in ("reflected", "penalized", "norms")},
+        "p_1.0001_reflected": ((("exponents.p", "1.0001"),), "reflected"),
+    }
+
+    @pytest.mark.parametrize("case", list(LEVEL_1E300))
+    def test_obstacle_at_1e300_ends_by_name_with_warnings_as_errors(self, tmp_path, capsys, case):
+        edits, mode = self.LEVEL_1E300[case]
+        text = CONFIG
+        for k, r in (("grid.steps", "10"), ("mc.paths", "64"), ("mc.seed", "0"),
+                     ("basis.degree", "2"), ("schedule.levels", "4"), ("problem.level", "1e300"),
+                     ("run.mode", mode)) + edits:
+            text = with_value(k, r, text)
+        f = tmp_path / "level.ini"
+        f.write_text(text)
+        ends = {}
+        for flag in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(flag, RuntimeWarning)
+                code = cli.run(f, out_dir=tmp_path / flag)
+            ends[flag] = (code, capsys.readouterr().err.splitlines())
+        assert ends["error"] == ends["ignore"]
+        code, err = ends["error"]
+        assert code == cli.EXIT_SUITE_FAILURE and len(err) == 1, err
+        if mode == "norms" or case.startswith("p_"):
+            assert err[0].startswith("error: ") and " in the norm report; largest beta*A_T = " in err[0], err
+        else:
+            assert err[0].startswith("error: penalty error inf at level n=1.0; largest beta*A_T = "), err
+        assert not list((tmp_path / "error").glob("*.csv"))
+
     # both used to end in an uncaught RegressionRankError, leaving only config.ini
     @pytest.mark.parametrize("edits, message", [
         ((("problem.name", "american_put"), ("mc.paths", "2"), ("basis.degree", "3"),
